@@ -36,6 +36,6 @@ pub use campus::{Campus, CampusSampler};
 pub use evolution::{block_of, ChannelDrift};
 pub use faults::{Delivery, ExchangeFaults, FaultPlan};
 pub use impairments::Impairments;
-pub use multipath::{ChannelScratch, FreqChannel, FreqChannelSoa, MultipathProfile};
+pub use multipath::{ChannelScratch, FreqChannel, MultipathProfile};
 pub use timedomain::TimeChannel;
 pub use topology::{AntennaConfig, Topology, TopologySampler};

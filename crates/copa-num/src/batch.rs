@@ -138,18 +138,6 @@ impl CBatch {
         sum.sqrt()
     }
 
-    /// Per-lane squared Frobenius norm (same entry order as
-    /// [`CMat::frobenius_norm_sqr`]).
-    pub fn frobenius_norm_sqr_lane(&self, l: usize) -> f64 {
-        let mut sum = 0.0;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                sum += self.get(i, j, l).norm_sqr();
-            }
-        }
-        sum
-    }
-
     /// Batched matrix product `self * rhs` into `out`, every lane following
     /// the exact loop order and zero-entry skip of [`CMat::mul_into`], so
     /// each lane's result is bit-identical to the scalar kernel.
@@ -534,9 +522,8 @@ pub fn svd_batch_into(a: &CBatch, scratch: &mut SvdBatchScratch, out: &mut SvdBa
 }
 // alloc-free: end svd_batch_into
 
-/// Reusable working storage for [`inverse_loaded_batch_into`] and
-/// [`solve_batch_into`]: batched LU factors, per-lane permutations and
-/// per-lane pivot/multiplier staging.
+/// Reusable working storage for [`inverse_loaded_batch_into`]: batched LU
+/// factors and per-lane permutations.
 #[derive(Clone, Debug, Default)]
 pub struct LuBatchScratch {
     lu: CBatch,
@@ -704,40 +691,6 @@ pub fn inverse_loaded_batch_into(
     substitute_in_place_batch(&scratch.lu, out);
 }
 
-/// Batched linear solve `A_l X_l = B_l` for every lane at once; per lane
-/// bit-identical to [`crate::solve::Lu::factor`] + `solve_into`. Fails if
-/// any lane is singular.
-pub fn solve_batch_into(
-    a: &CBatch,
-    b: &CBatch,
-    scratch: &mut LuBatchScratch,
-    x: &mut CBatch,
-) -> Result<(), SingularMatrix> {
-    let n = a.rows();
-    let lanes = a.lanes();
-    assert_eq!(b.rows(), n, "rhs row mismatch");
-    assert_eq!(b.lanes(), lanes, "lane count mismatch");
-    scratch.lu.copy_from(a);
-    scratch.perm.clear();
-    for i in 0..n {
-        for _ in 0..lanes {
-            scratch.perm.push(i);
-        }
-    }
-    factor_in_place_batch(&mut scratch.lu, &mut scratch.perm)?;
-    let m = b.cols();
-    x.reset(n, m, lanes);
-    for i in 0..n {
-        for j in 0..m {
-            for l in 0..lanes {
-                x.set(i, j, l, b.get(scratch.perm[i * lanes + l], j, l));
-            }
-        }
-    }
-    substitute_in_place_batch(&scratch.lu, x);
-    Ok(())
-}
-
 // alloc-free: end lu_batch_kernels
 
 #[cfg(test)]
@@ -874,27 +827,6 @@ mod tests {
                 let mut lane = CMat::zeros(0, 0);
                 out.store_lane(l, &mut lane);
                 assert_eq!(&lane, &s_out, "inverse lane {l} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn solve_batch_matches_scalar_per_lane() {
-        let mut rng = SimRng::seed_from(7);
-        let mut scratch = LuBatchScratch::new();
-        let mut out = CBatch::new();
-        for &(n, cols, lanes) in &[(2, 1, 9), (3, 2, 4), (4, 4, 2)] {
-            let a = random_mats(&mut rng, n, n, lanes);
-            let b = random_mats(&mut rng, n, cols, lanes);
-            solve_batch_into(&gather(&a), &gather(&b), &mut scratch, &mut out)
-                .expect("random matrices factor");
-            for l in 0..lanes {
-                let lu = crate::solve::Lu::factor(&a[l]).expect("factors");
-                let mut x = CMat::zeros(0, 0);
-                lu.solve_into(&b[l], &mut x);
-                let mut lane = CMat::zeros(0, 0);
-                out.store_lane(l, &mut lane);
-                assert_eq!(&lane, &x, "solve lane {l} n={n}");
             }
         }
     }

@@ -26,8 +26,7 @@ pub mod svd;
 pub mod tables;
 
 pub use batch::{
-    inverse_loaded_batch_into, solve_batch_into, svd_batch_into, CBatch, LuBatchScratch, SvdBatch,
-    SvdBatchScratch,
+    inverse_loaded_batch_into, svd_batch_into, CBatch, LuBatchScratch, SvdBatch, SvdBatchScratch,
 };
 pub use complex::C64;
 pub use matrix::CMat;

@@ -7,7 +7,6 @@
 use crate::precoder::{LinkPrecoding, PrecodeScratch};
 use copa_channel::FreqChannel;
 use copa_num::batch::svd_batch_into;
-use copa_num::svd::svd_into;
 
 /// Builds the SVD beamforming precoder for `streams` spatial streams from
 /// the (estimated) channel: on each subcarrier, the precoder columns are the
@@ -33,8 +32,8 @@ pub fn beamform(est: &FreqChannel, streams: usize) -> LinkPrecoding {
 /// Batched implementation: all subcarriers are gathered into an SoA
 /// [`copa_num::batch::CBatch`] and decomposed by one [`svd_batch_into`] call.
 /// Each lane replays the scalar Jacobi kernel exactly, so the result is
-/// bit-identical to [`beamform_scalar_with`] (proved by the tests here and
-/// by `crates/copa-num/tests/prop_batch.rs`).
+/// bit-identical to a per-subcarrier `svd_into` loop (proved by the tests
+/// here and by `crates/copa-num/tests/prop_batch.rs`).
 pub fn beamform_with(
     est: &FreqChannel,
     streams: usize,
@@ -72,42 +71,35 @@ pub fn beamform_with(
     }
 }
 
-/// The original per-subcarrier scalar path, kept callable for the
-/// batched-vs-scalar bit-identity gates (`--simd-smoke`, determinism suite).
-/// Semantics and output are identical to [`beamform_with`].
-pub fn beamform_scalar_with(
-    est: &FreqChannel,
-    streams: usize,
-    ws: &mut PrecodeScratch,
-    out: &mut LinkPrecoding,
-) {
-    assert!(streams >= 1, "need at least one stream");
-    assert!(
-        streams <= est.rx().min(est.tx()),
-        "{} streams do not fit a {}x{} channel",
-        streams,
-        est.rx(),
-        est.tx()
-    );
-    ws.cols.clear();
-    ws.cols.extend(0..streams);
-    out.reset_shape(est.iter().count(), streams);
-    for (s, h) in est.iter().enumerate() {
-        svd_into(h, &mut ws.svd, &mut ws.dec);
-        ws.dec.v.select_columns_into(&ws.cols, &mut out.precoder[s]);
-        for (k, gains) in out.stream_gains.iter_mut().enumerate() {
-            gains[s] = ws.dec.s[k] * ws.dec.s[k];
-        }
-    }
-}
 // alloc-free: end beamform_with
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use copa_channel::MultipathProfile;
+    use copa_num::svd::svd_into;
     use copa_num::SimRng;
     use copa_phy::ofdm::DATA_SUBCARRIERS;
+
+    /// Per-subcarrier reference for the bit-identity test: one scalar
+    /// `svd_into` per subcarrier.
+    fn beamform_scalar_with(
+        est: &FreqChannel,
+        streams: usize,
+        ws: &mut PrecodeScratch,
+        out: &mut LinkPrecoding,
+    ) {
+        ws.cols.clear();
+        ws.cols.extend(0..streams);
+        out.reset_shape(est.iter().count(), streams);
+        for (s, h) in est.iter().enumerate() {
+            svd_into(h, &mut ws.svd, &mut ws.dec);
+            ws.dec.v.select_columns_into(&ws.cols, &mut out.precoder[s]);
+            for (k, gains) in out.stream_gains.iter_mut().enumerate() {
+                gains[s] = ws.dec.s[k] * ws.dec.s[k];
+            }
+        }
+    }
 
     fn ch(rng: &mut SimRng, rx: usize, tx: usize) -> FreqChannel {
         FreqChannel::random(rng, rx, tx, 1.0, &MultipathProfile::default())

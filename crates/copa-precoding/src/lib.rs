@@ -19,10 +19,10 @@ pub mod precoder;
 pub mod sda;
 pub mod sinr;
 
-pub use beamforming::{beamform, beamform_scalar_with, beamform_with};
-pub use nulling::{null_toward, null_toward_scalar_with, null_toward_with, nulling_dof};
+pub use beamforming::{beamform, beamform_with};
+pub use nulling::{null_toward, null_toward_with, nulling_dof};
 pub use precoder::{LinkPrecoding, PrecodeScratch, TxPowers};
 pub use sinr::{
-    active_cells, active_cells_into, mmse_sinr_grid, mmse_sinr_grid_scalar_with,
-    mmse_sinr_grid_with, received_power_per_subcarrier, SinrScratch, TxSide,
+    active_cells, active_cells_into, mmse_sinr_grid, mmse_sinr_grid_with,
+    received_power_per_subcarrier, SinrScratch, TxSide,
 };

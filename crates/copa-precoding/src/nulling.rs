@@ -46,9 +46,9 @@ pub fn null_toward(
 /// Batched implementation: victim SVD, nullspace projection and in-nullspace
 /// beamforming each run once across all subcarrier lanes. When the numerical
 /// nullity differs between subcarriers (possible only for degenerate
-/// channels) the kernel falls back to [`null_toward_scalar_with`]; either
-/// way the output is bit-identical to the scalar path, because every batched
-/// lane replays the scalar op sequence exactly.
+/// channels) the kernel falls back to a per-subcarrier scalar loop; either
+/// way the output is the same, because every batched lane replays the
+/// scalar op sequence exactly.
 pub fn null_toward_with(
     est_own: &FreqChannel,
     est_victim: &FreqChannel,
@@ -121,10 +121,10 @@ pub fn null_toward_with(
     true
 }
 
-/// The original per-subcarrier scalar path, kept callable for the
-/// batched-vs-scalar bit-identity gates and as the non-uniform-nullity
-/// fallback of [`null_toward_with`]. Semantics and output are identical.
-pub fn null_toward_scalar_with(
+/// The per-subcarrier scalar path: the non-uniform-nullity fallback of
+/// [`null_toward_with`] and the reference of its bit-identity tests.
+/// Semantics and output are identical.
+fn null_toward_scalar_with(
     est_own: &FreqChannel,
     est_victim: &FreqChannel,
     streams: usize,
@@ -265,6 +265,55 @@ mod tests {
         assert!(null_toward(&own1, &vic1, 1).is_none());
     }
 
+    /// Asserts two precodings agree to the last mantissa bit.
+    fn assert_bit_identical(a: &LinkPrecoding, b: &LinkPrecoding, ctx: &str) {
+        assert_eq!(a.streams(), b.streams(), "{ctx}: stream count");
+        for s in 0..DATA_SUBCARRIERS {
+            let (x, y) = (&a.precoder[s], &b.precoder[s]);
+            assert_eq!((x.rows(), x.cols()), (y.rows(), y.cols()), "{ctx}: shape");
+            for (i, (u, v)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
+                assert_eq!(u.re.to_bits(), v.re.to_bits(), "{ctx}: s={s} entry {i}.re");
+                assert_eq!(u.im.to_bits(), v.im.to_bits(), "{ctx}: s={s} entry {i}.im");
+            }
+            for k in 0..a.streams() {
+                assert_eq!(
+                    a.stream_gains[k][s].to_bits(),
+                    b.stream_gains[k][s].to_bits(),
+                    "{ctx}: gain k={k} s={s}"
+                );
+            }
+        }
+    }
+
+    /// Runs the batched kernel and the scalar reference on one problem and
+    /// requires bit-identical precoders; returns the batched one.
+    fn batched_matches_scalar(
+        own: &FreqChannel,
+        victim: &FreqChannel,
+        streams: usize,
+        ctx: &str,
+    ) -> LinkPrecoding {
+        let mut ws = PrecodeScratch::new();
+        let mut batched = LinkPrecoding::empty();
+        assert!(null_toward_with(
+            own,
+            victim,
+            streams,
+            &mut ws,
+            &mut batched
+        ));
+        let mut scalar = LinkPrecoding::empty();
+        assert!(null_toward_scalar_with(
+            own,
+            victim,
+            streams,
+            &mut ws,
+            &mut scalar
+        ));
+        assert_bit_identical(&batched, &scalar, ctx);
+        batched
+    }
+
     #[test]
     fn batched_is_bit_identical_to_scalar() {
         for (seed, rx, tx, vic_rx, streams) in [
@@ -276,44 +325,42 @@ mod tests {
             let mut rng = SimRng::seed_from(seed);
             let own = ch(&mut rng, rx, tx);
             let victim = ch(&mut rng, vic_rx, tx);
-            let mut ws = PrecodeScratch::new();
-            let mut batched = LinkPrecoding::empty();
-            assert!(null_toward_with(
-                &own,
-                &victim,
-                streams,
-                &mut ws,
-                &mut batched
-            ));
-            let mut scalar = LinkPrecoding::empty();
-            assert!(null_toward_scalar_with(
-                &own,
-                &victim,
-                streams,
-                &mut ws,
-                &mut scalar
-            ));
-            for s in 0..DATA_SUBCARRIERS {
-                let (b, c) = (&batched.precoder[s], &scalar.precoder[s]);
-                assert_eq!((b.rows(), b.cols()), (c.rows(), c.cols()));
-                for i in 0..b.rows() {
-                    for j in 0..b.cols() {
-                        assert_eq!(
-                            b[(i, j)].re.to_bits(),
-                            c[(i, j)].re.to_bits(),
-                            "seed={seed} s={s} ({i},{j}).re"
-                        );
-                        assert_eq!(b[(i, j)].im.to_bits(), c[(i, j)].im.to_bits());
-                    }
-                }
-                for k in 0..streams {
-                    assert_eq!(
-                        batched.stream_gains[k][s].to_bits(),
-                        scalar.stream_gains[k][s].to_bits(),
-                        "seed={seed} gain k={k} s={s}"
-                    );
+            batched_matches_scalar(&own, &victim, streams, &format!("seed={seed}"));
+        }
+    }
+
+    #[test]
+    fn non_uniform_victim_nullity_falls_back_bit_identically() {
+        // A victim channel that is rank-deficient on a few subcarriers only
+        // (its two receive antennas see the same channel there), so the
+        // numerical nullity differs between lanes and the batched kernel
+        // must take the scalar fallback.
+        let mut rng = SimRng::seed_from(74);
+        let own = ch(&mut rng, 2, 4);
+        let full = ch(&mut rng, 2, 4);
+        let deficient = [3usize, 17, 40];
+        let victim = full.map(|s, h| {
+            let mut m = h.clone();
+            if deficient.contains(&s) {
+                for t in 0..m.cols() {
+                    m[(1, t)] = m[(0, t)];
                 }
             }
+            m
+        });
+        for (s, h) in victim.iter().enumerate() {
+            let rank = copa_num::svd::svd(h).rank(NULL_TOL);
+            assert_eq!(rank, if deficient.contains(&s) { 1 } else { 2 }, "s={s}");
+        }
+
+        let pre = batched_matches_scalar(&own, &victim, 2, "rank-deficient victim");
+        assert!(pre.columns_are_unit_norm(1e-9));
+        for s in 0..DATA_SUBCARRIERS {
+            let leaked = victim.at(s).matmul(&pre.precoder[s]).max_abs();
+            assert!(
+                leaked < 1e-8,
+                "residual at victim on subcarrier {s}: {leaked}"
+            );
         }
     }
 

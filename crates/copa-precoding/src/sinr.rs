@@ -12,7 +12,6 @@ use copa_channel::{FreqChannel, Impairments};
 use copa_num::batch::{inverse_loaded_batch_into, CBatch, LuBatchScratch};
 use copa_num::complex::ONE;
 use copa_num::matrix::CMat;
-use copa_num::solve::{inverse_loaded_into, LuScratch};
 use copa_num::C64;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 
@@ -67,45 +66,31 @@ struct CovBatchScratch {
 /// subcarriers, strategies and topologies.
 #[derive(Clone, Debug, Default)]
 pub struct SinrScratch {
-    cov_scratch: CovScratch,
-    /// One transmitter's covariance contribution.
-    cov: CMat,
-    /// Base covariance (noise + own EVM + interferer).
-    base: CMat,
-    /// Own effective transmitted matrix.
-    txm: CMat,
-    /// Received stream signatures `H * txm`.
-    a: CMat,
-    /// Per-stream covariance `R_k`.
-    rk: CMat,
-    /// Interfering stream signature and products.
-    aj: CMat,
-    ajh: CMat,
-    ajajh: CMat,
-    /// Desired stream signature and products.
-    ak: CMat,
-    akh: CMat,
-    t1: CMat,
-    t2: CMat,
-    /// LU working storage and the inverse.
-    lu: LuScratch,
-    rinv: CMat,
-    /// Batched-path temporaries (SoA, one lane per subcarrier).
+    /// Covariance temporaries of one transmitter.
     cov_batch: CovBatchScratch,
+    /// One transmitter's covariance contribution.
     cov_b: CBatch,
+    /// Base covariance (noise + own EVM + interferer).
     base_b: CBatch,
+    /// Own effective transmitted matrix.
     txm_b: CBatch,
+    /// SoA gathers of the own and interfering channels.
     h_own_b: CBatch,
     h_int_b: CBatch,
+    /// Received stream signatures `H * txm`.
     a_b: CBatch,
+    /// Per-stream covariance `R_k`.
     rk_b: CBatch,
+    /// Interfering stream signature and products.
     aj_b: CBatch,
     ajh_b: CBatch,
     ajajh_b: CBatch,
+    /// Desired stream signature and products.
     ak_b: CBatch,
     akh_b: CBatch,
     t1_b: CBatch,
     t2_b: CBatch,
+    /// LU working storage and the inverse.
     lu_b: LuBatchScratch,
     rinv_b: CBatch,
 }
@@ -334,9 +319,10 @@ pub fn mmse_sinr_grid(
 /// Batched implementation: channels are gathered once into SoA lanes and
 /// every step of the scalar chain (covariances, stream signatures, `R_k`
 /// assembly, loaded inversion, quadratic form) runs across all 52 lanes at
-/// once. Per lane the op sequence is exactly the scalar one, so the grid is
-/// bit-identical to [`mmse_sinr_grid_scalar_with`]. Lanes whose stream power
-/// is zero are computed but not written back, matching the scalar skip.
+/// once. Per lane the op sequence is exactly the per-subcarrier scalar one
+/// (`covariance_into`, `inverse_loaded_into`), so the grid is bit-identical
+/// to a scalar loop over subcarriers. Lanes whose stream power is zero are
+/// computed but not written back, matching the scalar skip.
 pub fn mmse_sinr_grid_with(
     own: &TxSide,
     interferer: Option<&TxSide>,
@@ -414,66 +400,6 @@ pub fn mmse_sinr_grid_with(
     }
 }
 
-/// The original per-subcarrier scalar path, kept callable for the
-/// batched-vs-scalar bit-identity gates (`--simd-smoke`, determinism
-/// suite). Semantics and output are identical to [`mmse_sinr_grid_with`].
-pub fn mmse_sinr_grid_scalar_with(
-    own: &TxSide,
-    interferer: Option<&TxSide>,
-    noise_mw: f64,
-    imp: &Impairments,
-    ws: &mut SinrScratch,
-    grid: &mut Vec<Vec<f64>>,
-) {
-    let streams = own.precoding.streams();
-    let rx = own.channel.rx();
-    grid.truncate(streams);
-    grid.resize_with(streams, Vec::new);
-    for row in grid.iter_mut() {
-        row.clear();
-        row.resize(DATA_SUBCARRIERS, 0.0);
-    }
-
-    for s in 0..DATA_SUBCARRIERS {
-        // Base covariance: thermal noise + own EVM + interferer everything.
-        ws.base.reset(rx, rx);
-        for i in 0..rx {
-            ws.base[(i, i)] = ONE.scale(noise_mw);
-        }
-        own.covariance_into(s, imp, false, &mut ws.cov_scratch, &mut ws.cov);
-        ws.base.add_in_place(&ws.cov);
-        if let Some(int) = interferer {
-            int.covariance_into(s, imp, true, &mut ws.cov_scratch, &mut ws.cov);
-            ws.base.add_in_place(&ws.cov);
-        }
-
-        own.tx_matrix_into(s, &mut ws.txm);
-        own.channel.at(s).mul_into(&ws.txm, &mut ws.a); // rx x streams
-        for k in 0..streams {
-            if own.powers.powers[k][s] <= 0.0 {
-                continue;
-            }
-            // R_k = base + sum_{j != k} a_j a_j^H.
-            ws.rk.copy_from(&ws.base);
-            for j in 0..streams {
-                if j == k {
-                    continue;
-                }
-                ws.a.column_into(j, &mut ws.aj);
-                ws.aj.hermitian_into(&mut ws.ajh);
-                ws.aj.mul_into(&ws.ajh, &mut ws.ajajh);
-                ws.rk.add_in_place(&ws.ajajh);
-            }
-            ws.a.column_into(k, &mut ws.ak);
-            inverse_loaded_into(&ws.rk, noise_mw.max(1e-18) * 1e-9, &mut ws.lu, &mut ws.rinv);
-            ws.ak.hermitian_into(&mut ws.akh);
-            ws.akh.mul_into(&ws.rinv, &mut ws.t1);
-            ws.t1.mul_into(&ws.ak, &mut ws.t2);
-            let sinr = ws.t2[(0, 0)];
-            grid[k][s] = sinr.re.max(0.0);
-        }
-    }
-}
 // alloc-free: end mmse_sinr_grid_with
 
 /// Total received power (mW, summed over receive antennas) from a
@@ -514,7 +440,88 @@ mod tests {
     use crate::beamforming::beamform;
     use crate::nulling::null_toward;
     use copa_channel::MultipathProfile;
+    use copa_num::solve::{inverse_loaded_into, LuScratch};
     use copa_num::SimRng;
+
+    /// Temporaries of the per-subcarrier reference below.
+    #[derive(Default)]
+    struct ScalarScratch {
+        cov_scratch: CovScratch,
+        cov: CMat,
+        base: CMat,
+        txm: CMat,
+        a: CMat,
+        rk: CMat,
+        aj: CMat,
+        ajh: CMat,
+        ajajh: CMat,
+        ak: CMat,
+        akh: CMat,
+        t1: CMat,
+        t2: CMat,
+        lu: LuScratch,
+        rinv: CMat,
+    }
+
+    /// Per-subcarrier reference for the bit-identity test: the MMSE chain
+    /// of [`mmse_sinr_grid_with`] one subcarrier at a time.
+    fn mmse_sinr_grid_scalar_with(
+        own: &TxSide,
+        interferer: Option<&TxSide>,
+        noise_mw: f64,
+        imp: &Impairments,
+        ws: &mut ScalarScratch,
+        grid: &mut Vec<Vec<f64>>,
+    ) {
+        let streams = own.precoding.streams();
+        let rx = own.channel.rx();
+        grid.truncate(streams);
+        grid.resize_with(streams, Vec::new);
+        for row in grid.iter_mut() {
+            row.clear();
+            row.resize(DATA_SUBCARRIERS, 0.0);
+        }
+
+        for s in 0..DATA_SUBCARRIERS {
+            // Base covariance: thermal noise + own EVM + interferer everything.
+            ws.base.reset(rx, rx);
+            for i in 0..rx {
+                ws.base[(i, i)] = ONE.scale(noise_mw);
+            }
+            own.covariance_into(s, imp, false, &mut ws.cov_scratch, &mut ws.cov);
+            ws.base.add_in_place(&ws.cov);
+            if let Some(int) = interferer {
+                int.covariance_into(s, imp, true, &mut ws.cov_scratch, &mut ws.cov);
+                ws.base.add_in_place(&ws.cov);
+            }
+
+            own.tx_matrix_into(s, &mut ws.txm);
+            own.channel.at(s).mul_into(&ws.txm, &mut ws.a); // rx x streams
+            for k in 0..streams {
+                if own.powers.powers[k][s] <= 0.0 {
+                    continue;
+                }
+                // R_k = base + sum_{j != k} a_j a_j^H.
+                ws.rk.copy_from(&ws.base);
+                for j in 0..streams {
+                    if j == k {
+                        continue;
+                    }
+                    ws.a.column_into(j, &mut ws.aj);
+                    ws.aj.hermitian_into(&mut ws.ajh);
+                    ws.aj.mul_into(&ws.ajh, &mut ws.ajajh);
+                    ws.rk.add_in_place(&ws.ajajh);
+                }
+                ws.a.column_into(k, &mut ws.ak);
+                inverse_loaded_into(&ws.rk, noise_mw.max(1e-18) * 1e-9, &mut ws.lu, &mut ws.rinv);
+                ws.ak.hermitian_into(&mut ws.akh);
+                ws.akh.mul_into(&ws.rinv, &mut ws.t1);
+                ws.t1.mul_into(&ws.ak, &mut ws.t2);
+                let sinr = ws.t2[(0, 0)];
+                grid[k][s] = sinr.re.max(0.0);
+            }
+        }
+    }
 
     fn ch(rng: &mut SimRng, rx: usize, tx: usize, gain: f64) -> FreqChannel {
         FreqChannel::random(rng, rx, tx, gain, &MultipathProfile::default())
@@ -732,13 +739,21 @@ mod tests {
             budget_mw: 31.6,
         };
         let mut ws = SinrScratch::new();
+        let mut scalar_ws = ScalarScratch::default();
         for imp in [Impairments::default(), Impairments::ideal()] {
             for with_int in [false, true] {
                 let interferer = with_int.then_some(&int);
                 let mut batched = Vec::new();
                 mmse_sinr_grid_with(&own, interferer, NOISE, &imp, &mut ws, &mut batched);
                 let mut scalar = Vec::new();
-                mmse_sinr_grid_scalar_with(&own, interferer, NOISE, &imp, &mut ws, &mut scalar);
+                mmse_sinr_grid_scalar_with(
+                    &own,
+                    interferer,
+                    NOISE,
+                    &imp,
+                    &mut scalar_ws,
+                    &mut scalar,
+                );
                 assert_eq!(batched.len(), scalar.len());
                 for k in 0..batched.len() {
                     for s in 0..DATA_SUBCARRIERS {

@@ -13,7 +13,7 @@
 //! bit-identical (per `f64::to_bits`) to plain suite evaluation.
 
 use crate::json::{Obj, ToJson};
-use crate::runner::seed_for;
+use crate::runner::{par_map_indexed, seed_for};
 use copa_channel::faults::{Delivery, ExchangeFaults, FaultPlan};
 use copa_channel::Topology;
 use copa_core::{
@@ -21,7 +21,6 @@ use copa_core::{
 };
 use copa_mac::csi_codec::{compress_csi, decompress_csi};
 use copa_mac::frames::{Addr, Decision, ItsFrame};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-suite accounting of how coordination degraded under faults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -161,52 +160,14 @@ pub fn run_degraded_suite(
     plan: &FaultPlan,
     threads: usize,
 ) -> Result<DegradedSuiteResult, CopaError> {
-    let n = suite.len();
-    if n == 0 {
-        return Ok(DegradedSuiteResult {
-            throughputs_mbps: Vec::new(),
-            decisions: Vec::new(),
-            stats: DegradationStats::default(),
-        });
-    }
-    let workers = threads.max(1).min(n);
-    let next = AtomicUsize::new(0);
-    type Row = (f64, Strategy, u32, bool);
-    let mut results: Vec<Option<Result<Row, CopaError>>> = (0..n).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut ws = EngineWorkspace::new();
-                    let mut done: Vec<(usize, Result<Row, CopaError>)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        done.push((idx, evaluate_one(params, &suite[idx], idx, plan, &mut ws)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            // invariant: workers return Results rather than panicking
-            for (idx, r) in h.join().expect("worker panicked") {
-                results[idx] = Some(r);
-            }
-        }
+    let rows = par_map_indexed(suite.len(), threads, EngineWorkspace::new, |ws, idx| {
+        evaluate_one(params, &suite[idx], idx, plan, ws)
     });
-
-    let mut throughputs_mbps = Vec::with_capacity(n);
-    let mut decisions = Vec::with_capacity(n);
+    let mut throughputs_mbps = Vec::with_capacity(rows.len());
+    let mut decisions = Vec::with_capacity(rows.len());
     let mut stats = DegradationStats::default();
-    for r in results {
-        // invariant: the atomic counter hands out every index exactly once
-        let (mbps, decision, retries, coordinated) =
-            r.expect("every index was claimed exactly once")?;
+    for r in rows {
+        let (mbps, decision, retries, coordinated) = r?;
         throughputs_mbps.push(mbps);
         decisions.push(decision);
         stats.merge(&DegradationStats {

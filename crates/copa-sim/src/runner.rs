@@ -1,10 +1,9 @@
 //! Parallel evaluation of topology suites.
 //!
 //! Every CDF in the paper is "across topologies", so the basic operation is
-//! mapping the strategy engine over a suite. Evaluations are independent;
-//! std scoped threads pull topology indices from a shared atomic counter
-//! (work stealing), so a handful of slow topologies cannot idle the other
-//! workers the way static chunking could.
+//! mapping the strategy engine over a suite. Evaluations are independent,
+//! so they run on [`par_map_indexed`], the crate's work-stealing pool of
+//! std scoped threads.
 
 use copa_channel::Topology;
 use copa_core::{CopaError, Engine, EngineWorkspace, EvalRequest, Evaluation, ScenarioParams};
@@ -21,6 +20,70 @@ pub(crate) fn seed_for(params: &ScenarioParams, idx: usize) -> u64 {
         .wrapping_mul(0x9E37_79B9)
 }
 
+/// Deterministic parallel map over the indices `0..n`, results in index
+/// order.
+///
+/// `threads` scoped workers (at most `n`; none for `n == 0`) pull indices
+/// from a shared atomic counter, so a few slow items cannot idle the other
+/// workers the way static chunking could. Each worker builds its own state
+/// with `init_state` (an engine workspace, say) and reuses it across every
+/// index it claims. Whenever `f(state, idx)` depends only on `idx` -- not on
+/// which worker ran it or what that worker ran before -- the output is
+/// identical for any thread count.
+///
+/// This is the pool of the plain suite runner, the degraded-suite runner
+/// and the waveform grid. Two pools in this crate deliberately stay apart:
+/// the daemon steps contiguous `&mut` chunks of long-lived cells in place,
+/// and the supervisor interleaves a clocked retry queue with fresh indices;
+/// neither is a map from an index to a value.
+pub(crate) fn par_map_indexed<S, T: Send>(
+    n: usize,
+    threads: usize,
+    init_state: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let workers = threads.max(1).min(n);
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (next, init_state, f) = (&next, &init_state, &f);
+                scope.spawn(move || {
+                    let mut state = init_state();
+                    let mut done: Vec<(usize, T)> = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            break;
+                        }
+                        done.push((idx, f(&mut state, idx)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for h in handles {
+            // invariant: callers' `f` returns values rather than panicking
+            for (idx, v) in h.join().expect("worker panicked") {
+                slots[idx] = Some(v);
+            }
+        }
+    });
+
+    slots
+        .into_iter()
+        .map(|v| {
+            // invariant: the atomic counter hands out every index exactly once
+            v.expect("every index was claimed exactly once")
+        })
+        .collect()
+}
+
 /// Evaluates `suite` in parallel with `threads` workers (results in suite
 /// order), propagating the first failure (in suite order) instead of
 /// panicking. A failed topology does not poison the pool: every worker
@@ -32,54 +95,15 @@ pub fn try_evaluate_parallel(
     suite: &[Topology],
     threads: usize,
 ) -> Result<Vec<Evaluation>, CopaError> {
-    let n = suite.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let workers = threads.max(1).min(n);
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<Result<Evaluation, CopaError>>> = (0..n).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    // One reusable workspace per worker: buffers grow to the
-                    // largest topology shape, then evaluation is alloc-free.
-                    let mut ws = EngineWorkspace::new();
-                    let mut done: Vec<(usize, Result<Evaluation, CopaError>)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        let mut p = *params;
-                        p.seed = seed_for(params, idx);
-                        let engine = Engine::new(p);
-                        let r =
-                            engine.run(&mut EvalRequest::topology(&suite[idx]).workspace(&mut ws));
-                        done.push((idx, r));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            // invariant: workers return Results rather than panicking
-            for (idx, ev) in h.join().expect("worker panicked") {
-                results[idx] = Some(ev);
-            }
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| {
-            // invariant: the atomic counter hands out every index exactly once
-            r.expect("every index was claimed exactly once")
-        })
-        .collect()
+    // One reusable workspace per worker: buffers grow to the largest
+    // topology shape, then evaluation is alloc-free.
+    par_map_indexed(suite.len(), threads, EngineWorkspace::new, |ws, idx| {
+        let mut p = *params;
+        p.seed = seed_for(params, idx);
+        Engine::new(p).run(&mut EvalRequest::topology(&suite[idx]).workspace(ws))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Infallible convenience wrapper over [`try_evaluate_parallel`] for suites
@@ -137,6 +161,23 @@ mod tests {
         let params = ScenarioParams::default();
         for threads in [1, 2, 8] {
             assert!(evaluate_parallel(&params, &[], threads).is_empty());
+        }
+    }
+
+    #[test]
+    fn par_map_indexed_keeps_index_order_for_any_thread_count() {
+        for n in [0usize, 1, 5, 64] {
+            for threads in [0, 1, 2, 8, 100] {
+                // A reused per-worker scratch buffer, as an engine
+                // workspace would be: the output must not depend on it.
+                let out = par_map_indexed(n, threads, Vec::new, |buf: &mut Vec<usize>, idx| {
+                    buf.clear();
+                    buf.extend(0..=idx);
+                    buf.iter().sum::<usize>()
+                });
+                let expect: Vec<usize> = (0..n).map(|i| i * (i + 1) / 2).collect();
+                assert_eq!(out, expect, "n={n} threads={threads}");
+            }
         }
     }
 

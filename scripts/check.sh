@@ -7,17 +7,13 @@
 # what CI (and the PR driver) runs; keep it green.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--faults-smoke] [--resume-smoke]
-#                         [--obs-smoke] [--campus-smoke] [--simd-smoke]
-#                         [--daemon-smoke] [--chaos-smoke] [--waveform-smoke]
+#                         [--obs-smoke] [--campus-smoke] [--daemon-smoke]
+#                         [--chaos-smoke] [--waveform-smoke]
 #   --bench-smoke   additionally run the hotpath benchmark in --quick mode
 #                   and leave its JSON lines in BENCH_hotpath.json; every
 #                   warmed-path alloc report must read exactly 0 (the bench
 #                   itself also hard-asserts this and the >= 540 topo/s
 #                   throughput floor).
-#   --simd-smoke    additionally run the batched-vs-scalar bit-identity
-#                   example (examples/simd_smoke.rs): a mixed 24-topology
-#                   suite evaluated with both kernel modes must agree to
-#                   the last mantissa bit.
 #   --faults-smoke  additionally run one degraded-suite episode offline
 #                   (240 topologies, 20% ITS frame loss) and require CSMA
 #                   fallbacks to be reported without any panic.
@@ -53,6 +49,10 @@
 #                   byte-identical across thread counts, measured FER
 #                   within the stated band of the analytic union bound,
 #                   and zero allocations across warmed frames.
+#
+# --bench-smoke, --resume-smoke, --obs-smoke and --campus-smoke all gate on
+# lines of the hotpath bench; it runs at most once per invocation and every
+# one of those guards greps the same output.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,7 +61,6 @@ FAULTS_SMOKE=0
 RESUME_SMOKE=0
 OBS_SMOKE=0
 CAMPUS_SMOKE=0
-SIMD_SMOKE=0
 DAEMON_SMOKE=0
 CHAOS_SMOKE=0
 WAVEFORM_SMOKE=0
@@ -72,13 +71,21 @@ for arg in "$@"; do
         --resume-smoke) RESUME_SMOKE=1 ;;
         --obs-smoke) OBS_SMOKE=1 ;;
         --campus-smoke) CAMPUS_SMOKE=1 ;;
-        --simd-smoke) SIMD_SMOKE=1 ;;
         --daemon-smoke) DAEMON_SMOKE=1 ;;
         --chaos-smoke) CHAOS_SMOKE=1 ;;
         --waveform-smoke) WAVEFORM_SMOKE=1 ;;
         *) echo "unknown argument: $arg" >&2; exit 2 ;;
     esac
 done
+
+# Runs the hotpath bench in --quick mode once and keeps its output in
+# HOTPATH_OUT; later calls reuse it.
+HOTPATH_OUT=""
+hotpath_quick() {
+    if [ -z "$HOTPATH_OUT" ]; then
+        HOTPATH_OUT=$(cargo bench --offline -p copa-bench --bench hotpath -- --quick)
+    fi
+}
 
 echo "==> 1/7 hermeticity: no registry dependencies in any Cargo.toml"
 bad=0
@@ -191,7 +198,8 @@ echo "    ok: no deprecated-API uses outside allowed shims"
 
 if [ "$BENCH_SMOKE" -eq 1 ]; then
     echo "==> bench smoke: hotpath --quick (JSON -> BENCH_hotpath.json)"
-    cargo bench --offline -p copa-bench --bench hotpath -- --quick | tee BENCH_hotpath.json
+    hotpath_quick
+    printf '%s\n' "$HOTPATH_OUT" | tee BENCH_hotpath.json
     grep -q '"name"' BENCH_hotpath.json || {
         echo "bench smoke FAILED: no JSON lines in BENCH_hotpath.json" >&2
         exit 1
@@ -216,16 +224,6 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     }
 fi
 
-if [ "$SIMD_SMOKE" -eq 1 ]; then
-    echo "==> simd smoke: batched vs scalar kernels, bit-for-bit"
-    out=$(cargo run --release --offline --example simd_smoke)
-    printf '%s\n' "$out"
-    printf '%s\n' "$out" | grep -q '^ok: batched SoA kernels are bit-identical' || {
-        echo "simd smoke FAILED: batched kernels diverged from the scalar reference" >&2
-        exit 1
-    }
-fi
-
 if [ "$RESUME_SMOKE" -eq 1 ]; then
     echo "==> resume smoke: journaled suite killed at 50%, resumed, byte-diffed"
     out=$(cargo run --release --offline --example resumable_suite)
@@ -235,9 +233,9 @@ if [ "$RESUME_SMOKE" -eq 1 ]; then
         exit 1
     }
     echo "==> resume smoke: supervision wrapper zero-allocation guard"
-    guard=$(cargo bench --offline -p copa-bench --bench hotpath -- --quick)
-    printf '%s\n' "$guard" | grep '^alloc '
-    printf '%s\n' "$guard" | grep -q '"name":"evaluate_4x2_guarded"' || {
+    hotpath_quick
+    printf '%s\n' "$HOTPATH_OUT" | grep '^alloc '
+    printf '%s\n' "$HOTPATH_OUT" | grep -q '"name":"evaluate_4x2_guarded"' || {
         echo "resume smoke FAILED: guarded-evaluation alloc report missing" >&2
         exit 1
     }
@@ -256,13 +254,13 @@ if [ "$OBS_SMOKE" -eq 1 ]; then
         exit 1
     }
     echo "==> obs smoke: telemetry zero-allocation guards"
-    guard=$(cargo bench --offline -p copa-bench --bench hotpath -- --quick)
-    printf '%s\n' "$guard" | grep '^alloc '
-    printf '%s\n' "$guard" | grep -q '"name":"evaluate_4x2_noop_obs"' || {
+    hotpath_quick
+    printf '%s\n' "$HOTPATH_OUT" | grep '^alloc '
+    printf '%s\n' "$HOTPATH_OUT" | grep -q '"name":"evaluate_4x2_noop_obs"' || {
         echo "obs smoke FAILED: noop-sink alloc report missing" >&2
         exit 1
     }
-    printf '%s\n' "$guard" | grep -q '"name":"evaluate_4x2_live_obs"' || {
+    printf '%s\n' "$HOTPATH_OUT" | grep -q '"name":"evaluate_4x2_live_obs"' || {
         echo "obs smoke FAILED: live-sink alloc report missing" >&2
         exit 1
     }
@@ -281,9 +279,9 @@ if [ "$CAMPUS_SMOKE" -eq 1 ]; then
         exit 1
     }
     echo "==> campus smoke: pair-cluster zero-allocation guard"
-    guard=$(cargo bench --offline -p copa-bench --bench hotpath -- --quick)
-    printf '%s\n' "$guard" | grep '^alloc '
-    printf '%s\n' "$guard" | grep -q '"name":"evaluate_pair_cluster_warm"' || {
+    hotpath_quick
+    printf '%s\n' "$HOTPATH_OUT" | grep '^alloc '
+    printf '%s\n' "$HOTPATH_OUT" | grep -q '"name":"evaluate_pair_cluster_warm"' || {
         echo "campus smoke FAILED: pair-cluster alloc report missing" >&2
         exit 1
     }

@@ -439,97 +439,6 @@ fn killed_and_resumed_campus_run_matches_uninterrupted_json() {
 }
 
 #[test]
-fn batched_kernels_match_scalar_on_campus_across_threads_and_resume() {
-    // The SoA kernel refactor's determinism contract, end to end: a 64-AP
-    // campus evaluated with the batched subcarrier kernels is byte-identical
-    // (as JSON) to the scalar reference path -- across 1/2/8 worker threads
-    // and through a kill-and-resume cycle. Any reassociation sneaking into
-    // the batch kernels breaks this at the first differing topology.
-    use copa::core::KernelMode;
-    use copa::sim::journal::wipe_journal;
-    use copa::sim::json::ToJson;
-    use copa::sim::{
-        run_campus_suite, run_campus_suite_journaled, run_campus_suite_resumed, CampusParams,
-        CampusScheme, SuiteConfig,
-    };
-    let cp = CampusParams::dense(64, 0xCA_3D07, AntennaConfig::SINGLE);
-    let scalar_params = ScenarioParams {
-        kernel_mode: KernelMode::Scalar,
-        ..Default::default()
-    };
-    let batched_params = ScenarioParams {
-        kernel_mode: KernelMode::Batched,
-        ..Default::default()
-    };
-
-    let reference = run_campus_suite(
-        &cp,
-        &scalar_params,
-        CampusScheme::Copa,
-        &SuiteConfig {
-            threads: 1,
-            ..Default::default()
-        },
-    )
-    .to_json();
-
-    for threads in [1, 2, 8] {
-        let batched = run_campus_suite(
-            &cp,
-            &batched_params,
-            CampusScheme::Copa,
-            &SuiteConfig {
-                threads,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            batched.to_json(),
-            reference,
-            "{threads}-thread batched campus must be byte-identical to the scalar reference"
-        );
-    }
-
-    // Kill-and-resume on the batched path must land on the same bytes: the
-    // journaled baseline and the resumed run are both batched, and both
-    // must agree with each other record for record.
-    let prefix = std::env::temp_dir().join(format!("copa-det-kernels-{}", std::process::id()));
-    let journaled_reference = {
-        let cfg = SuiteConfig {
-            threads: 1,
-            records_per_segment: 4,
-            ..Default::default()
-        };
-        run_campus_suite_journaled(&cp, &batched_params, CampusScheme::Copa, &cfg, &prefix)
-            .expect("journaled batched campus run")
-            .to_json()
-    };
-    let cfg = SuiteConfig {
-        threads: 2,
-        records_per_segment: 4,
-        stop_after: Some(7),
-        ..Default::default()
-    };
-    let partial =
-        run_campus_suite_journaled(&cp, &batched_params, CampusScheme::Copa, &cfg, &prefix)
-            .expect("interrupted batched campus run");
-    assert_eq!(partial.suite.records.len(), 7);
-    let cfg = SuiteConfig {
-        threads: 2,
-        records_per_segment: 4,
-        ..Default::default()
-    };
-    let resumed = run_campus_suite_resumed(&cp, &batched_params, CampusScheme::Copa, &cfg, &prefix)
-        .expect("resumed batched campus run");
-    wipe_journal(&prefix).expect("cleanup");
-    assert_eq!(
-        resumed.to_json(),
-        journaled_reference,
-        "kill-and-resume on the batched kernel path must reproduce the uninterrupted bytes"
-    );
-}
-
-#[test]
 fn waveform_grid_is_byte_identical_across_1_2_8_threads_and_replay() {
     // The bit-true waveform validator inherits the determinism contract:
     // every Monte-Carlo grid point (sync, tapped-delay convolution, Viterbi
