@@ -166,6 +166,23 @@ fn main() {
     });
     report_allocs("evaluate_4x2_warm_ws", allocs_warm);
 
+    // The other two antenna configurations of the mixed suite: 1x1 (no
+    // nulling DoF, so both SDA role assignments run) and the
+    // overconstrained 3x2 (SDA nulling plus the reduced-rank fallback).
+    // Each warms its own workspace, as a suite worker would.
+    let warm_config = |name: &str, config: AntennaConfig| -> u64 {
+        let t = TopologySampler::default().suite(0xE1, 1, config).remove(0);
+        let mut ws = EngineWorkspace::new();
+        let _ = engine.run(&mut EvalRequest::topology(&t).workspace(&mut ws));
+        let allocs = count_allocs(|| {
+            let _ = black_box(engine.run(&mut EvalRequest::topology(&t).workspace(&mut ws)));
+        });
+        report_allocs(name, allocs);
+        allocs
+    };
+    let allocs_1x1 = warm_config("evaluate_1x1_warm_ws", AntennaConfig::SINGLE);
+    let allocs_3x2 = warm_config("evaluate_3x2_warm_ws", AntennaConfig::OVERCONSTRAINED_3X2);
+
     // Supervision guard: the supervisor's per-topology `catch_unwind`
     // wrapper must be free -- same warmed workspace, same topology, and
     // exactly as many allocations as the bare engine call. A regression
@@ -286,6 +303,14 @@ fn main() {
     assert_eq!(
         allocs_unit_bare, 0,
         "warmed cluster-unit evaluation must be allocation-free (got {allocs_unit_bare})"
+    );
+    assert_eq!(
+        allocs_1x1, 0,
+        "warmed 1x1 evaluation must be allocation-free (got {allocs_1x1})"
+    );
+    assert_eq!(
+        allocs_3x2, 0,
+        "warmed 3x2 evaluation must be allocation-free (got {allocs_3x2})"
     );
 
     // --- 3. per-phase medians (copa-obs spans over a live registry) ------

@@ -455,14 +455,26 @@ impl FreqChannel {
     /// Restricts the channel to a subset of receive antennas (COPA's
     /// shut-down-antenna move for overconstrained nulling).
     pub fn select_rx(&self, rows: &[usize]) -> FreqChannel {
-        FreqChannel {
-            rx: rows.len(),
-            tx: self.tx,
-            subcarriers: self
-                .subcarriers
-                .iter()
-                .map(|m| m.select_rows(rows))
-                .collect(),
+        let mut out = FreqChannel::default();
+        self.select_rx_into(rows, &mut out);
+        out
+    }
+
+    /// [`FreqChannel::select_rx`] into a caller-owned channel, reusing its
+    /// per-subcarrier buffers: no allocation once `out` has held a channel
+    /// of this shape.
+    pub fn select_rx_into(&self, rows: &[usize], out: &mut FreqChannel) {
+        out.rx = rows.len();
+        out.tx = self.tx;
+        out.subcarriers
+            .resize_with(self.subcarriers.len(), CMat::default);
+        for (dst, src) in out.subcarriers.iter_mut().zip(&self.subcarriers) {
+            dst.reset(rows.len(), self.tx);
+            for (i, &r) in rows.iter().enumerate() {
+                for j in 0..self.tx {
+                    dst[(i, j)] = src[(r, j)];
+                }
+            }
         }
     }
 }
@@ -592,6 +604,22 @@ mod tests {
         for s in 0..DATA_SUBCARRIERS {
             for t in 0..3 {
                 assert_eq!(one.at(s)[(0, t)], ch.at(s)[(1, t)]);
+            }
+        }
+    }
+
+    #[test]
+    fn select_rx_into_reuses_a_slot_across_shapes() {
+        let mut rng = SimRng::seed_from(8);
+        let wide = FreqChannel::random(&mut rng, 4, 4, 1.0, &MultipathProfile::default());
+        let narrow = FreqChannel::random(&mut rng, 2, 3, 1.0, &MultipathProfile::default());
+        let mut slot = FreqChannel::default();
+        for (ch, rows) in [(&wide, &[3, 0][..]), (&narrow, &[1][..]), (&wide, &[2][..])] {
+            ch.select_rx_into(rows, &mut slot);
+            let fresh = ch.select_rx(rows);
+            assert_eq!((slot.rx(), slot.tx()), (fresh.rx(), fresh.tx()));
+            for s in 0..DATA_SUBCARRIERS {
+                assert_eq!(slot.at(s), fresh.at(s), "subcarrier {s}, rows {rows:?}");
             }
         }
     }

@@ -97,8 +97,9 @@ struct WorkBuffers {
     pre: PrecodeScratch,
     /// MMSE SINR scratch.
     sinr: SinrScratch,
-    /// SINR grid output slot (`streams x DATA_SUBCARRIERS`).
-    grid: Vec<Vec<f64>>,
+    /// SINR grid output slots (`streams x DATA_SUBCARRIERS`), indexed by
+    /// stream count (see [`grid_slot`]).
+    grids: Vec<Vec<Vec<f64>>>,
     /// Active-cell SINR list output slot.
     cells: Vec<f64>,
     /// Cross-gain scratch: one precoder column.
@@ -120,14 +121,51 @@ struct WorkBuffers {
     /// `None` = not yet computed; `Some(feasible)` afterwards.
     null_state: [Option<bool>; 3],
     null_pre: [[LinkPrecoding; 2]; 3],
+    /// SDA row-reduced channels (own and cross, estimated and true),
+    /// refilled in place per leader.
+    sda: [FreqChannel; 4],
     /// Pooled power-allocation buffers.
     seq_powers: TxPowers,
     alloc: AllocScratch,
     stream_out: StreamAllocation,
+    /// Concurrent allocation buffers, keyed by the two APs' stream counts
+    /// (see [`conc_slot`]).
+    conc: Vec<([usize; 2], ConcBuffers)>,
+}
+
+/// The concurrent strategies' allocation buffers for one stream shape.
+#[derive(Default)]
+struct ConcBuffers {
     eq_powers: [TxPowers; 2],
     cross_gains: [Vec<Vec<f64>>; 2],
-    conc_scratch: ConcurrentScratch,
-    conc_sol: ConcurrentSolution,
+    scratch: ConcurrentScratch,
+    sol: ConcurrentSolution,
+}
+
+/// The concurrent buffers for APs carrying `shape` streams. The precoder
+/// sets of one topology differ in shape (3x2 SDA gives the leader two
+/// streams and the follower one; the reduced-rank option one each), and
+/// buffers shared between shapes would drop and regrow rows on every
+/// evaluation. One set per shape keeps a warmed evaluation allocation-free.
+fn conc_slot(conc: &mut Vec<([usize; 2], ConcBuffers)>, shape: [usize; 2]) -> &mut ConcBuffers {
+    let i = match conc.iter().position(|(s, _)| *s == shape) {
+        Some(i) => i,
+        None => {
+            conc.push((shape, ConcBuffers::default()));
+            conc.len() - 1
+        }
+    };
+    &mut conc[i].1
+}
+
+/// The SINR grid slot for `streams` streams. The two clients of one
+/// concurrent setup can carry different stream counts, so each count gets
+/// its own slot rather than one grid that drops and regrows rows.
+fn grid_slot(grids: &mut Vec<Vec<Vec<f64>>>, streams: usize) -> &mut Vec<Vec<f64>> {
+    if grids.len() <= streams {
+        grids.resize_with(streams + 1, Vec::new);
+    }
+    &mut grids[streams]
 }
 
 impl EngineWorkspace {
@@ -465,7 +503,7 @@ impl Engine {
         let WorkBuffers {
             pre: pre_scratch,
             sinr: sinr_scratch,
-            grid,
+            grids,
             cells,
             bf_valid,
             bf_pre,
@@ -531,6 +569,7 @@ impl Engine {
                 |m| m.sinr_us,
                 "sinr",
                 || {
+                    let grid = grid_slot(grids, seq_pre.streams());
                     mmse_sinr_grid_with(
                         &own,
                         None,
@@ -677,46 +716,41 @@ impl Engine {
             Strategy::VanillaNull | Strategy::ConcurrentNull | Strategy::ConcurrentNullMercury
         );
 
-        // Estimated channels, with the SDA row reduction applied to every
-        // channel *into* the reduced client. Borrowed in place -- only the
-        // SDA path materializes (four reduced) channels.
-        let mut est_own: [&FreqChannel; 2] = [p.est[0][0], p.est[1][1]];
-        let mut est_cross: [&FreqChannel; 2] = [p.est[0][1], p.est[1][0]]; // [i] = AP i -> other client
-        let mut true_own: [&FreqChannel; 2] = [&topo.links[0][0], &topo.links[1][1]];
-        let mut true_cross: [&FreqChannel; 2] = [&topo.links[0][1], &topo.links[1][0]];
-        let reduced: [FreqChannel; 4];
-        if let Some(leader) = sda_leader {
-            let follower = 1 - leader;
-            let keep = antenna_to_keep(p.est[follower][follower]);
-            reduced = [
-                est_own[follower].select_rx(&[keep]),
-                est_cross[leader].select_rx(&[keep]),
-                true_own[follower].select_rx(&[keep]),
-                true_cross[leader].select_rx(&[keep]),
-            ];
-            est_own[follower] = &reduced[0];
-            est_cross[leader] = &reduced[1];
-            true_own[follower] = &reduced[2];
-            true_cross[leader] = &reduced[3];
-        }
-
         let WorkBuffers {
             pre: pre_scratch,
             sinr: sinr_scratch,
-            grid,
+            grids,
             cells,
             bf_valid,
             bf_pre,
             null_state,
             null_pre,
-            eq_powers,
-            cross_gains,
-            conc_scratch,
-            conc_sol,
+            conc,
             cg_w,
             cg_hw,
+            sda,
             ..
         } = ws;
+
+        // Estimated channels, with the SDA row reduction applied to every
+        // channel *into* the reduced client. Borrowed in place -- only the
+        // SDA path fills (four pooled) reduced channels.
+        let mut est_own: [&FreqChannel; 2] = [p.est[0][0], p.est[1][1]];
+        let mut est_cross: [&FreqChannel; 2] = [p.est[0][1], p.est[1][0]]; // [i] = AP i -> other client
+        let mut true_own: [&FreqChannel; 2] = [&topo.links[0][0], &topo.links[1][1]];
+        let mut true_cross: [&FreqChannel; 2] = [&topo.links[0][1], &topo.links[1][0]];
+        if let Some(leader) = sda_leader {
+            let follower = 1 - leader;
+            let keep = [antenna_to_keep(p.est[follower][follower])];
+            est_own[follower].select_rx_into(&keep, &mut sda[0]);
+            est_cross[leader].select_rx_into(&keep, &mut sda[1]);
+            true_own[follower].select_rx_into(&keep, &mut sda[2]);
+            true_cross[leader].select_rx_into(&keep, &mut sda[3]);
+            est_own[follower] = &sda[0];
+            est_cross[leader] = &sda[1];
+            true_own[follower] = &sda[2];
+            true_cross[leader] = &sda[3];
+        }
 
         // Precoders: most streams each side can sustain. Both the nulling
         // precoders (shared by vanilla nulling and COPA's concurrent
@@ -796,6 +830,12 @@ impl Engine {
             self.params.coherence_us,
         );
 
+        let ConcBuffers {
+            eq_powers,
+            cross_gains,
+            scratch: conc_scratch,
+            sol: conc_sol,
+        } = conc_slot(conc, [pres[0].streams(), pres[1].streams()]);
         phase_span(
             obs,
             |m| m.allocation_us,
@@ -872,6 +912,7 @@ impl Engine {
                 |m| m.sinr_us,
                 "sinr",
                 || {
+                    let grid = grid_slot(grids, pres[i].streams());
                     mmse_sinr_grid_with(
                         &own,
                         Some(&int),

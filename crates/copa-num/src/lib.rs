@@ -23,7 +23,6 @@ pub mod solve;
 pub mod special;
 pub mod stats;
 pub mod svd;
-pub mod tables;
 
 pub use batch::{
     inverse_loaded_batch_into, svd_batch_into, CBatch, LuBatchScratch, SvdBatch, SvdBatchScratch,
@@ -33,4 +32,3 @@ pub use matrix::CMat;
 pub use rng::SimRng;
 pub use solve::{inverse_loaded_into, LuScratch};
 pub use svd::{cond, cond_into, nullspace, svd, svd_into, Svd, SvdScratch};
-pub use tables::{gauss_hermite_cached, ErfcTable};

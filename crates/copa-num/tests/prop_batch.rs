@@ -1,5 +1,5 @@
 //! Property suite: the batched SoA kernels are *bit-identical* to the scalar
-//! kernels they replace, and the `erfc` table is exact at its nodes.
+//! kernels they replace.
 //!
 //! The batched kernels (`svd_batch_into`, `inverse_loaded_batch_into`,
 //! `CBatch::mul_into` / `hermitian_into`) are required by design to replay
@@ -10,8 +10,8 @@
 //! into the batch code shows up here as a `to_bits` mismatch.
 
 use copa_num::{
-    inverse_loaded_batch_into, svd_batch_into, CBatch, CMat, ErfcTable, LuBatchScratch, LuScratch,
-    SimRng, SvdBatch, SvdBatchScratch, SvdScratch,
+    inverse_loaded_batch_into, svd_batch_into, CBatch, CMat, LuBatchScratch, LuScratch, SimRng,
+    SvdBatch, SvdBatchScratch, SvdScratch,
 };
 
 /// Fills a `rows x cols` matrix with unit-variance complex Gaussians.
@@ -190,54 +190,5 @@ fn batch_mul_and_hermitian_are_bit_identical_to_scalar() {
                 assert_lane_eq(&ah, l, &sch, "hermitian");
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// erfc table
-// ---------------------------------------------------------------------------
-
-/// Distance in ulps between two finite f64s of the same sign.
-fn ulp_distance(a: f64, b: f64) -> u64 {
-    let (x, y) = (a.to_bits(), b.to_bits());
-    x.max(y) - x.min(y)
-}
-
-#[test]
-fn erfc_table_nodes_are_within_one_ulp_of_exact() {
-    for table in [ErfcTable::default_table(), ErfcTable::new(-4.0, 4.0, 513)] {
-        for i in 0..table.nodes() {
-            let x = table.node_x(i);
-            let exact = copa_num::special::erfc(x);
-            let stored = table.node_value(i);
-            assert!(
-                ulp_distance(stored, exact) <= 1,
-                "node {i} (x={x}): stored {stored:e} vs exact {exact:e}"
-            );
-            // eval() at a node must route through the same stored value.
-            assert!(
-                ulp_distance(table.eval(x), exact) <= 1,
-                "eval at node {i} (x={x}) disagrees with exact erfc"
-            );
-        }
-    }
-}
-
-#[test]
-fn erfc_table_is_monotone_between_nodes() {
-    let table = ErfcTable::default_table();
-    // Sample well off the node grid (prime count, irrational-ish offset) so
-    // consecutive probes straddle node boundaries.
-    let samples = 9973usize;
-    let (x0, x1) = ErfcTable::DEFAULT_RANGE;
-    let mut prev = table.eval(x0);
-    for k in 1..=samples {
-        let x = x0 + (x1 - x0) * (k as f64 + 0.317) / (samples as f64 + 1.0);
-        let v = table.eval(x.min(x1));
-        assert!(
-            v <= prev,
-            "erfc table not monotone: eval({x}) = {v} > previous {prev}"
-        );
-        prev = v;
     }
 }

@@ -304,21 +304,62 @@ pub fn viterbi_decode_into(
 }
 // alloc-free: end viterbi_decode_into
 
-/// `p^k` / `q^k` for every exponent the union bound touches, each entry the
-/// exact `powi` the direct expression evaluated (`p^k` needs `k <= d`,
-/// `q^(d-k)` only `d - k <= d/2`). One `coded_ber` call shares a single
-/// crossover probability across all weights, so hoisting the tables
-/// replaces ~80 `powi` evaluations with 29 without changing a bit.
-fn power_tables(p: f64, q: f64) -> ([f64; MAX_WEIGHT + 1], [f64; MAX_WEIGHT / 2 + 1]) {
-    let mut pk = [0.0f64; MAX_WEIGHT + 1];
-    let mut qk = [0.0f64; MAX_WEIGHT / 2 + 1];
-    for (k, cell) in pk.iter_mut().enumerate() {
-        *cell = p.powi(k as i32);
+/// The crossover probability of one uncoded BER `p`, with `p^k` / `q^k`
+/// tabled for every exponent the union bound touches (`p^k` needs
+/// `k <= d`, `q^(d-k)` only `d - k <= d/2`). Each entry is the exact `powi`
+/// the direct expression evaluated, so one table serves every weight of
+/// every [`CodeRate`]: [`coded_ber`] builds it for a single rate, and the
+/// rate walk builds it once per modulation and reuses it for each code rate
+/// of that modulation, without changing a bit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Crossover {
+    /// `p <= 0`: every rate decodes perfectly.
+    clean: bool,
+    pk: [f64; MAX_WEIGHT + 1],
+    qk: [f64; MAX_WEIGHT / 2 + 1],
+}
+
+impl Crossover {
+    pub(crate) fn new(p: f64) -> Self {
+        let mut pk = [0.0f64; MAX_WEIGHT + 1];
+        let mut qk = [0.0f64; MAX_WEIGHT / 2 + 1];
+        if p <= 0.0 {
+            return Self {
+                clean: true,
+                pk,
+                qk,
+            };
+        }
+        // Same clamp `pairwise_error` applies per term, hoisted with the
+        // power tables (every term sees the same crossover probability).
+        let pc = p.min(0.5);
+        let q = 1.0 - pc;
+        for (k, cell) in pk.iter_mut().enumerate() {
+            *cell = pc.powi(k as i32);
+        }
+        for (k, cell) in qk.iter_mut().enumerate() {
+            *cell = q.powi(k as i32);
+        }
+        Self {
+            clean: false,
+            pk,
+            qk,
+        }
     }
-    for (k, cell) in qk.iter_mut().enumerate() {
-        *cell = q.powi(k as i32);
+
+    /// [`coded_ber`] of this crossover probability at `rate`.
+    pub(crate) fn coded_ber(&self, rate: CodeRate) -> f64 {
+        if self.clean {
+            return 0.0;
+        }
+        let (k_num, _) = rate.ratio();
+        let sum: f64 = rate
+            .weight_spectrum()
+            .iter()
+            .map(|&(d, c)| c * pairwise_error_tab(d, &self.pk, &self.qk))
+            .sum();
+        (sum / k_num as f64).clamp(0.0, 0.5)
     }
-    (pk, qk)
 }
 
 /// Pairwise error probability of a weight-`d` error event on a binary
@@ -382,20 +423,7 @@ fn binom_compute(n: i64, k: i64) -> f64 {
 /// Coded BER after Viterbi decoding, from the channel (uncoded) BER `p`, via
 /// the union bound with the code's weight spectrum. Clamped to `[0, 0.5]`.
 pub fn coded_ber(p: f64, rate: CodeRate) -> f64 {
-    if p <= 0.0 {
-        return 0.0;
-    }
-    let (k_num, _) = rate.ratio();
-    // Same clamp `pairwise_error` applies per term, hoisted with the power
-    // tables (every term sees the same crossover probability).
-    let pc = p.min(0.5);
-    let (pk, qk) = power_tables(pc, 1.0 - pc);
-    let sum: f64 = rate
-        .weight_spectrum()
-        .iter()
-        .map(|&(d, c)| c * pairwise_error_tab(d, &pk, &qk))
-        .sum();
-    (sum / k_num as f64).clamp(0.0, 0.5)
+    Crossover::new(p).coded_ber(rate)
 }
 
 /// Frame error rate of an `len_bytes`-byte MPDU at coded BER `pb`:
@@ -604,6 +632,73 @@ mod tests {
         }
         assert_eq!(frame_error_rate_bits(0.0, 999), 0.0);
         assert_eq!(frame_error_rate_bits(1.0, 999), 1.0);
+    }
+
+    /// The union bound written out term by term, every power evaluated in
+    /// place: the reference the shared [`Crossover`] tables must reproduce.
+    fn coded_ber_direct(p: f64, rate: CodeRate) -> f64 {
+        if p <= 0.0 {
+            return 0.0;
+        }
+        let pc = p.min(0.5);
+        let q = 1.0 - pc;
+        let term = |d: i64, k: i64| binom(d, k) * pc.powi(k as i32) * q.powi((d - k) as i32);
+        let (k_num, _) = rate.ratio();
+        let sum: f64 = rate
+            .weight_spectrum()
+            .iter()
+            .map(|&(d, c)| {
+                let d = d as i64;
+                let mut pe = 0.0;
+                if d % 2 == 0 {
+                    pe += 0.5 * term(d, d / 2);
+                    for k in (d / 2 + 1)..=d {
+                        pe += term(d, k);
+                    }
+                } else {
+                    for k in ((d + 1) / 2)..=d {
+                        pe += term(d, k);
+                    }
+                }
+                c * pe.min(1.0)
+            })
+            .sum();
+        (sum / k_num as f64).clamp(0.0, 0.5)
+    }
+
+    #[test]
+    fn shared_crossover_is_bit_identical_to_direct_union_bound() {
+        let mut ps = vec![
+            0.0,
+            -0.0,
+            -1e-3,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            0.5000001,
+            1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Dense log sweep over every BER the rate walk can produce.
+        ps.extend((0..=4000).map(|i| 10f64.powf(-320.0 + i as f64 * 0.08)));
+        for p in ps {
+            let shared = Crossover::new(p);
+            for rate in CodeRate::ALL {
+                let want = coded_ber_direct(p, rate);
+                assert_eq!(
+                    coded_ber(p, rate).to_bits(),
+                    want.to_bits(),
+                    "coded_ber, p={p:e}, rate {rate}"
+                );
+                assert_eq!(
+                    shared.coded_ber(rate).to_bits(),
+                    want.to_bits(),
+                    "reused crossover, p={p:e}, rate {rate}"
+                );
+            }
+        }
     }
 
     #[test]
