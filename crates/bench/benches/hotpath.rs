@@ -6,7 +6,8 @@
 //! beamforming -> MMSE SINR -> rate) repeated 52 subcarriers x strategies
 //! x topologies. This bench pins that cost down with three views:
 //!
-//! 1. kernel timings (`svd_*`, `sinr_grid_*`) -- the per-subcarrier chain;
+//! 1. kernel timings (`svd_*`, `sinr_grid_*`) -- the per-subcarrier chain --
+//!    and `viterbi_r56_954`, the decoder behind every bit-true frame;
 //! 2. engine timings (`evaluate_*`) -- one full topology evaluation;
 //! 3. runner throughput (`suite_*`) -- a heterogeneous suite through
 //!    `evaluate_parallel`, reported as topologies/second.
@@ -23,6 +24,7 @@ use copa_channel::{AntennaConfig, MultipathProfile, TopologySampler};
 use copa_core::{Engine, EngineMetrics, EngineObs, EngineWorkspace, EvalRequest, ScenarioParams};
 use copa_num::{svd, CMat, SimRng};
 use copa_obs::{FrozenClock, NoopSink, Telemetry, WallClock};
+use copa_phy::coding::{encode, viterbi_decode_into, CodeRate, ViterbiScratch};
 use copa_precoding::{beamform, mmse_sinr_grid, TxPowers, TxSide};
 use copa_sim::json::{Obj, ToJson};
 use copa_sim::{
@@ -133,6 +135,52 @@ fn main() {
             mmse_sinr_grid(black_box(&own_side), Some(&int_side), 1e-9, &imp)
         })
     });
+
+    // The hard-decision Viterbi decoder on an MCS-7-sized frame (954 info
+    // bits at rate 5/6, 2% of coded bits flipped), decoded into one warmed
+    // scratch: the kernel every bit-true waveform frame runs once.
+    let mut vrng = SimRng::seed_from(0x954);
+    let info: Vec<u8> = (0..954).map(|_| (vrng.next_u64() & 1) as u8).collect();
+    let mut coded = encode(&info, CodeRate::R56);
+    for bit in coded.iter_mut() {
+        if vrng.uniform() < 0.02 {
+            *bit ^= 1;
+        }
+    }
+    let mut viterbi = ViterbiScratch::new();
+    let mut decoded = Vec::new();
+    viterbi_decode_into(
+        &coded,
+        info.len(),
+        CodeRate::R56,
+        &mut viterbi,
+        &mut decoded,
+    );
+    c.bench_function("viterbi_r56_954", |b| {
+        b.iter(|| {
+            viterbi_decode_into(
+                black_box(&coded),
+                info.len(),
+                CodeRate::R56,
+                &mut viterbi,
+                &mut decoded,
+            )
+        })
+    });
+    let allocs_viterbi = count_allocs(|| {
+        viterbi_decode_into(
+            &coded,
+            info.len(),
+            CodeRate::R56,
+            &mut viterbi,
+            &mut decoded,
+        );
+    });
+    report_allocs("viterbi_r56_954", allocs_viterbi);
+    assert_eq!(
+        allocs_viterbi, 0,
+        "a warmed Viterbi decode must be allocation-free (got {allocs_viterbi})"
+    );
 
     // --- 2. one full topology evaluation --------------------------------
     let t4x2 = TopologySampler::default()

@@ -150,8 +150,7 @@ impl Chain {
             coded.extend(self.interleaver.deinterleave(&hard));
         }
         // Trim the padding: reconstruct the exact punctured length.
-        let coded_len = encode(&vec![0u8; payload_bits], self.mcs.rate).len();
-        coded.truncate(coded_len);
+        coded.truncate(coded_len(payload_bits, self.mcs.rate));
         let mut bits = viterbi_decode(&coded, payload_bits, self.mcs.rate);
         Scrambler::new(self.scrambler_seed).process(&mut bits);
         bits
@@ -266,8 +265,7 @@ impl Chain {
             }
             llrs.extend(deint);
         }
-        let coded_len = encode(&vec![0u8; payload_bits], self.mcs.rate).len();
-        llrs.truncate(coded_len);
+        llrs.truncate(coded_len(payload_bits, self.mcs.rate));
         let mut bits = crate::soft::soft_viterbi_decode(&llrs, payload_bits, self.mcs.rate);
         Scrambler::new(self.scrambler_seed).process(&mut bits);
         bits

@@ -191,15 +191,14 @@ pub fn viterbi_decode(coded: &[u8], info_len: usize, rate: CodeRate) -> Vec<u8> 
     out
 }
 
-/// Reusable state for [`viterbi_decode_into`]: path metrics and the full
-/// predecessor matrix. Buffers grow to the longest frame decoded, then the
-/// warmed Monte-Carlo loop never touches the allocator.
+/// Reusable state for [`viterbi_decode_into`]: one survivor-decision row
+/// per trellis step. The buffer grows to the longest frame decoded, then
+/// the warmed Monte-Carlo loop never touches the allocator.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiScratch {
-    metric: Vec<u32>,
-    next: Vec<u32>,
-    /// Flat `total_steps x STATES` predecessor matrix.
-    pred: Vec<u8>,
+    /// Entry `[i][s]` is 1 when state `s` after step `i` was reached from
+    /// the upper predecessor `(s >> 1) | 32`, 0 for the lower `s >> 1`.
+    decisions: Vec<[u8; STATES]>,
 }
 
 impl ViterbiScratch {
@@ -209,10 +208,53 @@ impl ViterbiScratch {
     }
 }
 
+/// Butterflies per trellis step: one per lower predecessor state.
+const BUTTERFLIES: usize = STATES / 2;
+
+/// For each butterfly `j`, all ones where generator `g` outputs 1 for the
+/// register `j << 1` (state `j`, input bit 0), else all zeros.
+const fn butterfly_outputs(g: u32) -> [u32; BUTTERFLIES] {
+    let mut masks = [0; BUTTERFLIES];
+    let mut j = 0;
+    while j < BUTTERFLIES {
+        if ((j as u32) << 1 & g).count_ones() & 1 == 1 {
+            masks[j] = u32::MAX;
+        }
+        j += 1;
+    }
+    masks
+}
+
+/// Output `a` (generator 133) of each butterfly's reference branch.
+const OUT_A: [u32; BUTTERFLIES] = butterfly_outputs(G0);
+/// Output `b` (generator 171) of each butterfly's reference branch.
+const OUT_B: [u32; BUTTERFLIES] = butterfly_outputs(G1);
+
 // alloc-free: begin viterbi_decode_into (kernel -- caller-owned scratch)
 /// [`viterbi_decode`] writing into a caller-owned buffer with all working
-/// state in `scratch`. Bit-identical to the owned version (same metrics,
-/// same tie-breaking, same traceback).
+/// state in `scratch`. Bit-identical to the owned version.
+///
+/// Each trellis step is 32 radix-2 add-compare-select butterflies:
+/// butterfly `j` joins predecessors `j` and `j + 32` into states `2j` and
+/// `2j + 1`. Both generators have bits 0 and 6 set, so flipping the input
+/// bit or the register's top bit flips both outputs. With `(a, b)` the
+/// output of register `j << 1`, the branches `j -> 2j` and
+/// `j + 32 -> 2j + 1` emit `(a, b)` and the other two emit `(!a, !b)`.
+/// The step's branch metrics (erased, punctured positions cost 0) thus
+/// give each butterfly a `same` cost and a `flip = total - same` cost.
+///
+/// Exact against the plain scan it replaces, which visited predecessors in
+/// ascending order, skipped unreachable ones and kept a candidate only on
+/// a strictly smaller metric:
+/// * Ties go to the lower predecessor `j`, so the upper one is selected
+///   only when its metric is strictly smaller.
+/// * Unreachable states start at `INF = u32::MAX / 2` and only grow, while
+///   a reachable metric is at most twice the step count, so an unreachable
+///   predecessor never beats a reachable one. Every state is reachable
+///   after six steps, so no metric exceeds `INF + 12`.
+/// * The traceback starts at the terminated state 0 and follows
+///   survivors, so it visits only reachable states, whose decisions are
+///   the scan's.
 ///
 /// # Panics
 /// Panics if `coded` is shorter than the encoder would have produced for
@@ -224,22 +266,19 @@ pub fn viterbi_decode_into(
     scratch: &mut ViterbiScratch,
     out: &mut Vec<u8>,
 ) {
+    const INF: u32 = u32::MAX / 2;
     let pattern = rate.puncture_pattern();
     let total_steps = info_len + CONSTRAINT_LENGTH - 1;
 
-    const INF: u32 = u32::MAX / 2;
-    scratch.metric.clear();
-    scratch.metric.resize(STATES, INF);
-    scratch.metric[0] = 0;
-    scratch.next.clear();
-    scratch.next.resize(STATES, INF);
-    scratch.pred.clear();
-    scratch.pred.resize(total_steps * STATES, 0);
+    let mut metric = [INF; STATES];
+    metric[0] = 0;
+    scratch.decisions.clear();
+    scratch.decisions.resize(total_steps, [0; STATES]);
 
     // Walk the puncture pattern to find which coded positions exist;
     // erased positions contribute no metric.
     let mut idx = 0usize;
-    for i in 0..total_steps {
+    for (i, upper) in scratch.decisions.iter_mut().enumerate() {
         let (keep_a, keep_b) = pattern[i % pattern.len()];
         let ra = if keep_a {
             let v = coded.get(idx).copied();
@@ -260,45 +299,35 @@ pub fn viterbi_decode_into(
             "coded sequence too short"
         );
 
-        let choice = &mut scratch.pred[i * STATES..(i + 1) * STATES];
-        for v in scratch.next.iter_mut() {
-            *v = INF;
+        // Cost of each output bit value; `x ^ ((x ^ y) & mask)` picks `y`
+        // where the mask is set, keeping the butterfly loop branch-free.
+        let cost = |r: Option<u8>, bit: u8| r.map_or(0, |r| (r != bit) as u32);
+        let (a0, a1, b0, b1) = (cost(ra, 0), cost(ra, 1), cost(rb, 0), cost(rb, 1));
+        let total = a0 + a1 + b0 + b1;
+        let mut next = [0u32; STATES];
+        let (lo, hi) = metric.split_at(BUTTERFLIES);
+        for j in 0..BUTTERFLIES {
+            let same = (a0 ^ ((a0 ^ a1) & OUT_A[j])) + (b0 ^ ((b0 ^ b1) & OUT_B[j]));
+            let flip = total - same;
+            let (lo0, hi0) = (lo[j] + same, hi[j] + flip);
+            let (lo1, hi1) = (lo[j] + flip, hi[j] + same);
+            next[2 * j] = lo0.min(hi0);
+            next[2 * j + 1] = lo1.min(hi1);
+            upper[2 * j] = (hi0 < lo0) as u8;
+            upper[2 * j + 1] = (hi1 < lo1) as u8;
         }
-        for s in 0..STATES {
-            if scratch.metric[s] == INF {
-                continue;
-            }
-            for bit in 0..2u32 {
-                let reg = ((s as u32) << 1) | bit;
-                let a = ((reg & G0).count_ones() & 1) as u8;
-                let b = ((reg & G1).count_ones() & 1) as u8;
-                let ns = (reg & (STATES as u32 - 1)) as usize;
-                let mut m = scratch.metric[s];
-                if let Some(ra) = ra {
-                    m += (ra != a) as u32;
-                }
-                if let Some(rb) = rb {
-                    m += (rb != b) as u32;
-                }
-                if m < scratch.next[ns] {
-                    scratch.next[ns] = m;
-                    // Predecessor state fits in u8 for K=7 (64 states).
-                    choice[ns] = s as u8;
-                }
-            }
-        }
-        std::mem::swap(&mut scratch.metric, &mut scratch.next);
+        metric = next;
     }
 
-    // Terminated trellis: trace back from state 0.
+    // Terminated trellis: trace back from state 0. The input bit is the
+    // state's LSB; the decision restores the bit shifted out on top.
     let mut state = 0usize;
     out.clear();
     out.resize(total_steps, 0);
     for i in (0..total_steps).rev() {
-        let prev = scratch.pred[i * STATES + state] as usize;
-        // state = ((prev << 1) | bit) & mask, so the input bit is state's LSB.
         out[i] = (state & 1) as u8;
-        state = prev;
+        let upper = scratch.decisions[i][state] as usize;
+        state = (state >> 1) | (upper << (CONSTRAINT_LENGTH - 2));
     }
     out.truncate(info_len);
 }
@@ -456,7 +485,8 @@ pub fn coded_ber_at_sinr(modulation: Modulation, rate: CodeRate, gamma: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copa_num::SimRng;
+    use copa_num::prop::check;
+    use copa_num::{prop_assert_eq, SimRng};
 
     #[test]
     fn encode_rate_half_length() {
@@ -590,7 +620,7 @@ mod tests {
     #[test]
     fn coded_len_matches_encode() {
         for rate in CodeRate::ALL {
-            for info in [1usize, 7, 60, 100, 731] {
+            for info in [0usize, 1, 7, 60, 100, 731] {
                 assert_eq!(
                     coded_len(info, rate),
                     encode(&vec![0u8; info], rate).len(),
@@ -619,6 +649,186 @@ mod tests {
                 viterbi_decode_into(&coded, info, rate, &mut scratch, &mut out);
                 assert_eq!(owned, out, "rate {rate}, {info} info bits");
             }
+        }
+    }
+
+    /// The decoder before the butterfly rewrite, body kept verbatim: a
+    /// scan over all 64 states x 2 input bits per step that skips
+    /// unreachable states and stores a 64-byte predecessor row per step.
+    /// It is the oracle the butterfly decoder must match bit for bit.
+    fn viterbi_decode_reference(coded: &[u8], info_len: usize, rate: CodeRate) -> Vec<u8> {
+        struct Scratch {
+            metric: Vec<u32>,
+            next: Vec<u32>,
+            pred: Vec<u8>,
+        }
+        let scratch = &mut Scratch {
+            metric: Vec::new(),
+            next: Vec::new(),
+            pred: Vec::new(),
+        };
+        let out = &mut Vec::new();
+        let pattern = rate.puncture_pattern();
+        let total_steps = info_len + CONSTRAINT_LENGTH - 1;
+
+        const INF: u32 = u32::MAX / 2;
+        scratch.metric.clear();
+        scratch.metric.resize(STATES, INF);
+        scratch.metric[0] = 0;
+        scratch.next.clear();
+        scratch.next.resize(STATES, INF);
+        scratch.pred.clear();
+        scratch.pred.resize(total_steps * STATES, 0);
+
+        // Walk the puncture pattern to find which coded positions exist;
+        // erased positions contribute no metric.
+        let mut idx = 0usize;
+        for i in 0..total_steps {
+            let (keep_a, keep_b) = pattern[i % pattern.len()];
+            let ra = if keep_a {
+                let v = coded.get(idx).copied();
+                idx += 1;
+                v
+            } else {
+                None
+            };
+            let rb = if keep_b {
+                let v = coded.get(idx).copied();
+                idx += 1;
+                v
+            } else {
+                None
+            };
+            assert!(
+                (!keep_a || ra.is_some()) && (!keep_b || rb.is_some()),
+                "coded sequence too short"
+            );
+
+            let choice = &mut scratch.pred[i * STATES..(i + 1) * STATES];
+            for v in scratch.next.iter_mut() {
+                *v = INF;
+            }
+            for s in 0..STATES {
+                if scratch.metric[s] == INF {
+                    continue;
+                }
+                for bit in 0..2u32 {
+                    let reg = ((s as u32) << 1) | bit;
+                    let a = ((reg & G0).count_ones() & 1) as u8;
+                    let b = ((reg & G1).count_ones() & 1) as u8;
+                    let ns = (reg & (STATES as u32 - 1)) as usize;
+                    let mut m = scratch.metric[s];
+                    if let Some(ra) = ra {
+                        m += (ra != a) as u32;
+                    }
+                    if let Some(rb) = rb {
+                        m += (rb != b) as u32;
+                    }
+                    if m < scratch.next[ns] {
+                        scratch.next[ns] = m;
+                        // Predecessor state fits in u8 for K=7 (64 states).
+                        choice[ns] = s as u8;
+                    }
+                }
+            }
+            std::mem::swap(&mut scratch.metric, &mut scratch.next);
+        }
+
+        // Terminated trellis: trace back from state 0.
+        let mut state = 0usize;
+        out.clear();
+        out.resize(total_steps, 0);
+        for i in (0..total_steps).rev() {
+            let prev = scratch.pred[i * STATES + state] as usize;
+            // state = ((prev << 1) | bit) & mask, so the input bit is state's LSB.
+            out[i] = (state & 1) as u8;
+            state = prev;
+        }
+        out.truncate(info_len);
+        std::mem::take(out)
+    }
+
+    /// Hard decisions of `bits` encoded at `rate` after a binary symmetric
+    /// channel that flips each coded bit with probability `p`.
+    fn bsc(bits: &[u8], rate: CodeRate, p: f64, rng: &mut SimRng) -> Vec<u8> {
+        let mut coded = encode(bits, rate);
+        for b in coded.iter_mut() {
+            if rng.uniform() < p {
+                *b ^= 1;
+            }
+        }
+        coded
+    }
+
+    #[test]
+    fn butterfly_viterbi_matches_reference_decoder() {
+        const FLIP: [f64; 6] = [0.0, 0.01, 0.05, 0.15, 0.3, 0.5];
+        let mut rng = SimRng::seed_from(0xB077);
+        let mut scratch = ViterbiScratch::new();
+        let mut out = Vec::new();
+        // Every length up to 96 (all puncture phases of short frames), then
+        // every 8th up to 1100. The rate cycles per frame and the flip rate
+        // every four frames, so all 24 (rate, p) pairs recur across the
+        // length range. Every third frame carries surplus trailing bits,
+        // which both decoders must ignore.
+        let lengths = (0..=96usize).chain((100..=1100).step_by(8));
+        for (k, info) in lengths.enumerate() {
+            let rate = CodeRate::ALL[k % 4];
+            let p = FLIP[(k / 4) % FLIP.len()];
+            let bits: Vec<u8> = (0..info).map(|_| (rng.next_u64() & 1) as u8).collect();
+            let mut coded = bsc(&bits, rate, p, &mut rng);
+            if k % 3 == 0 {
+                let extra = 1 + (rng.next_u64() % 24) as usize;
+                coded.extend((0..extra).map(|_| (rng.next_u64() & 1) as u8));
+            }
+            let want = viterbi_decode_reference(&coded, info, rate);
+            viterbi_decode_into(&coded, info, rate, &mut scratch, &mut out);
+            assert_eq!(out, want, "rate {rate}, {info} info bits, p={p}");
+        }
+    }
+
+    #[test]
+    fn butterfly_viterbi_matches_reference_on_arbitrary_bytes() {
+        // Received bytes need not be 0/1: any other value mismatches both
+        // branch outputs, in either decoder.
+        check("butterfly_viterbi_arbitrary_bytes", 64, |g| {
+            let rate = *g.pick(&CodeRate::ALL);
+            let info = g.usize_in(0, 300);
+            let len = coded_len(info, rate) + g.usize_in(0, 8);
+            let coded: Vec<u8> = (0..len)
+                .map(|_| if g.bool() { g.u8() & 1 } else { g.u8() })
+                .collect();
+            prop_assert_eq!(
+                viterbi_decode(&coded, info, rate),
+                viterbi_decode_reference(&coded, info, rate)
+            );
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "coded sequence too short")]
+    fn viterbi_rejects_short_coded_sequence() {
+        let coded = encode(&[1, 0, 1, 1, 0, 1, 0, 0, 1, 1], CodeRate::R34);
+        viterbi_decode(&coded[..coded.len() - 1], 10, CodeRate::R34);
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_across_long_short_long() {
+        let mut rng = SimRng::seed_from(23);
+        let mut scratch = ViterbiScratch::new();
+        let mut out = Vec::new();
+        for (info, rate) in [
+            (954usize, CodeRate::R56),
+            (17, CodeRate::R12),
+            (0, CodeRate::R23),
+            (1100, CodeRate::R34),
+        ] {
+            let bits: Vec<u8> = (0..info).map(|_| (rng.next_u64() & 1) as u8).collect();
+            let coded = bsc(&bits, rate, 0.05, &mut rng);
+            viterbi_decode_into(&coded, info, rate, &mut scratch, &mut out);
+            let fresh = viterbi_decode(&coded, info, rate);
+            assert_eq!(out, fresh, "rate {rate}, {info} info bits");
         }
     }
 

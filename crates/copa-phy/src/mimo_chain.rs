@@ -12,7 +12,7 @@
 //! spatial-multiplexing assumptions behind every throughput number in the
 //! evaluation.
 
-use crate::coding::{encode, CONSTRAINT_LENGTH};
+use crate::coding::{coded_len, encode, CONSTRAINT_LENGTH};
 use crate::interleaver::Interleaver;
 use crate::mapper::Mapper;
 use crate::mcs::Mcs;
@@ -176,8 +176,7 @@ impl MimoChain {
             }
         }
 
-        let coded_len = encode(&vec![0u8; payload_bits], self.mcs.rate).len();
-        let llrs = self.stream_merge(&per_stream_llrs, coded_len);
+        let llrs = self.stream_merge(&per_stream_llrs, coded_len(payload_bits, self.mcs.rate));
         let mut bits = soft_viterbi_decode(&llrs, payload_bits, self.mcs.rate);
         Scrambler::new(self.scrambler_seed).process(&mut bits);
         bits

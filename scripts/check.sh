@@ -209,7 +209,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # gate honest even if the bench's own asserts are ever refactored.)
     for guard in evaluate_4x2_warm_ws evaluate_1x1_warm_ws evaluate_3x2_warm_ws \
                  evaluate_4x2_guarded evaluate_4x2_noop_obs evaluate_4x2_live_obs \
-                 evaluate_pair_cluster_warm daemon_warm_epochs; do
+                 evaluate_pair_cluster_warm daemon_warm_epochs viterbi_r56_954; do
         grep -q "\"name\":\"$guard\",\"allocs\":0}" BENCH_hotpath.json || {
             echo "bench smoke FAILED: warmed path '$guard' is not allocation-free" >&2
             exit 1

@@ -183,14 +183,30 @@ fn chaos_run_is_byte_identical_across_threads_and_mid_degradation_resume() {
 
     // Kill while at least one cell sits mid-degradation (pinned to CSMA,
     // backoff pending), then resume: the v2 checkpoint must carry the
-    // bout so the replayed run lands on the same bytes.
+    // bout so the replayed run lands on the same bytes. The search kills
+    // once at 250 and then advances the same journal one 250-epoch leg
+    // at a time, each leg a resume that is killed again at its stop, so
+    // the cost stays linear in the horizon.
     let mut killed_mid_bout = false;
-    for stop in (250..6_000).step_by(250) {
-        let killed = DaemonConfig {
-            stop_after: Some(stop),
+    let mut partial = run_daemon_journaled(
+        &params,
+        &cells,
+        &DaemonConfig {
+            stop_after: Some(250),
             ..cfg
-        };
-        let partial = run_daemon_journaled(&params, &cells, &killed, &prefix).expect("killed run");
+        },
+        &prefix,
+    )
+    .expect("killed run");
+    for stop in (250..6_000).step_by(250) {
+        if stop > 250 {
+            let leg = DaemonConfig {
+                stop_after: Some(stop),
+                ..cfg
+            };
+            partial = run_daemon_resumed(&params, &cells, &leg, &prefix).expect("resumed leg");
+        }
+        assert_eq!(partial.epochs, stop, "leg must stop at its kill point");
         if partial.per_cell.iter().any(|c| c.degraded) {
             killed_mid_bout = true;
             let resumed = run_daemon_resumed(&params, &cells, &cfg, &prefix).expect("resumed run");
