@@ -67,28 +67,30 @@ fn main() {
         b.iter(|| black_box(viterbi_decode(&coded, 1000, CodeRate::R12)))
     });
 
-    let mk_problem = |seed: u64| {
+    let mk_gains = |seed: u64| -> Vec<f64> {
         let mut rng = SimRng::seed_from(seed);
-        let gains: Vec<f64> = (0..52)
+        (0..52)
             .map(|_| -rng.uniform().max(1e-12).ln() * 3e-8)
-            .collect();
-        StreamProblem::interference_free(gains, 1e-9 / 52.0, 15.8)
+            .collect()
     };
 
     c.bench_function("alloc_equi_sinr", |b| {
-        let p = mk_problem(6);
+        let g = mk_gains(6);
+        let p = StreamProblem::interference_free(&g, 1e-9 / 52.0, 15.8);
         let model = ThroughputModel::default();
         b.iter(|| black_box(equi_sinr(&p, &model, 0.9)))
     });
 
     c.bench_function("alloc_waterfilling", |b| {
-        let p = mk_problem(7);
+        let g = mk_gains(7);
+        let p = StreamProblem::interference_free(&g, 1e-9 / 52.0, 15.8);
         let model = ThroughputModel::default();
         b.iter(|| black_box(waterfilling(&p, &model, 0.9)))
     });
 
     c.bench_function("alloc_mercury_best", |b| {
-        let p = mk_problem(8);
+        let g = mk_gains(8);
+        let p = StreamProblem::interference_free(&g, 1e-9 / 52.0, 15.8);
         let model = ThroughputModel::default();
         let curves: Vec<MmseCurve> = Modulation::ALL.iter().map(|&m| MmseCurve::new(m)).collect();
         b.iter(|| black_box(mercury_best(&p, &curves, &model, 0.9)))

@@ -10,9 +10,7 @@
 //! regress from the best solution, in which case we choose the best solution
 //! previously found").
 
-use crate::stream::{
-    equi_sinr_into, mercury_best, AllocScratch, StreamAllocation, StreamProblem, StreamProblemRef,
-};
+use crate::stream::{equi_sinr_into, mercury_best, AllocScratch, StreamAllocation, StreamProblem};
 use copa_phy::link::ThroughputModel;
 use copa_phy::mmse_curves::MmseCurve;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
@@ -33,13 +31,15 @@ pub enum AllocatorKind {
 /// `own_gains[i][k][s]` is `|H_ii w_k|^2` (AP i's stream k toward its own
 /// client), and `cross_gains[i][k][s]` is the *residual* per-unit-power
 /// interference AP i's stream k causes at the other client (tiny when
-/// nulling, large when merely beamforming).
-#[derive(Clone, Debug)]
-pub struct ConcurrentProblem {
+/// nulling, large when merely beamforming). The problem borrows both grids,
+/// so callers point straight at the precoders' `stream_gains` and pooled
+/// cross-gain buffers instead of cloning them.
+#[derive(Clone, Copy, Debug)]
+pub struct ConcurrentProblem<'a> {
     /// Own-link effective gains, `[ap][stream][subcarrier]`.
-    pub own_gains: [Vec<Vec<f64>>; 2],
+    pub own_gains: [&'a [Vec<f64>]; 2],
     /// Cross-link leakage gains, `[ap][stream][subcarrier]`.
-    pub cross_gains: [Vec<Vec<f64>>; 2],
+    pub cross_gains: [&'a [Vec<f64>]; 2],
     /// Per-subcarrier noise, mW.
     pub noise_mw: f64,
     /// Per-AP total power budgets, mW.
@@ -65,49 +65,7 @@ pub const MAX_ITERATIONS: usize = 8;
 /// Relative power-vector change defining convergence.
 const CONVERGENCE_TOL: f64 = 1e-3;
 
-impl ConcurrentProblem {
-    /// Streams of AP `i`.
-    pub fn streams(&self, ap: usize) -> usize {
-        self.own_gains[ap].len()
-    }
-
-    /// Interference at AP `i`'s client on each subcarrier, given the peer's
-    /// current powers.
-    #[cfg(test)]
-    fn interference_at(&self, ap: usize, peer_powers: &TxPowers) -> Vec<f64> {
-        let r = ConcurrentProblemRef::from_problem(self);
-        let mut inter = Vec::new();
-        r.interference_into(ap, peer_powers, &mut inter);
-        inter
-    }
-}
-
-/// Borrowed view of a [`ConcurrentProblem`]: the zero-allocation entry point
-/// ([`allocate_concurrent_into`]) takes this so the engine can point straight
-/// at the precoders' `stream_gains` buffers instead of cloning them.
-#[derive(Clone, Copy, Debug)]
-pub struct ConcurrentProblemRef<'a> {
-    /// Own-link effective gains, `[ap][stream][subcarrier]`.
-    pub own_gains: [&'a [Vec<f64>]; 2],
-    /// Cross-link leakage gains, `[ap][stream][subcarrier]`.
-    pub cross_gains: [&'a [Vec<f64>]; 2],
-    /// Per-subcarrier noise, mW.
-    pub noise_mw: f64,
-    /// Per-AP total power budgets, mW.
-    pub budgets_mw: [f64; 2],
-}
-
-impl<'a> ConcurrentProblemRef<'a> {
-    /// Borrows an owned problem.
-    pub fn from_problem(p: &'a ConcurrentProblem) -> Self {
-        Self {
-            own_gains: [&p.own_gains[0], &p.own_gains[1]],
-            cross_gains: [&p.cross_gains[0], &p.cross_gains[1]],
-            noise_mw: p.noise_mw,
-            budgets_mw: p.budgets_mw,
-        }
-    }
-
+impl ConcurrentProblem<'_> {
     /// Streams of AP `i`.
     pub fn streams(&self, ap: usize) -> usize {
         self.own_gains[ap].len()
@@ -140,11 +98,10 @@ pub struct ConcurrentScratch {
 }
 
 /// Allocates all streams of AP `ap` given the peer's powers; returns the
-/// predicted aggregate goodput. Pooled counterpart of the old
-/// `ConcurrentProblem::allocate_ap`, same op sequence.
+/// predicted aggregate goodput.
 #[allow(clippy::too_many_arguments)]
 fn allocate_ap_into(
-    problem: &ConcurrentProblemRef<'_>,
+    problem: &ConcurrentProblem<'_>,
     ap: usize,
     peer_powers: &TxPowers,
     kind: AllocatorKind,
@@ -163,24 +120,18 @@ fn allocate_ap_into(
     out_powers.powers.resize_with(streams, Vec::new);
     let mut predicted = 0.0;
     for k in 0..streams {
+        let stream_problem = StreamProblem {
+            gains: &problem.own_gains[ap][k],
+            noise_mw: problem.noise_mw,
+            interference_mw: Some(interference),
+            budget_mw: per_stream_budget,
+        };
         match kind {
             AllocatorKind::EquiSinr => {
-                let stream_problem = StreamProblemRef {
-                    gains: &problem.own_gains[ap][k],
-                    noise_mw: problem.noise_mw,
-                    interference_mw: Some(interference),
-                    budget_mw: per_stream_budget,
-                };
-                equi_sinr_into(&stream_problem, model, airtime, alloc, stream_out);
+                equi_sinr_into(&stream_problem, model, airtime, alloc, stream_out)
             }
             AllocatorKind::Mercury => {
-                let stream_problem = StreamProblem {
-                    gains: problem.own_gains[ap][k].clone(),
-                    noise_mw: problem.noise_mw,
-                    interference_mw: interference.clone(),
-                    budget_mw: per_stream_budget,
-                };
-                *stream_out = mercury_best(&stream_problem, curves, model, airtime);
+                *stream_out = mercury_best(&stream_problem, curves, model, airtime)
             }
         }
         predicted += stream_out.throughput_bps;
@@ -193,7 +144,7 @@ fn allocate_ap_into(
 
 /// Runs the Figure 6 iteration and returns the best solution found.
 pub fn allocate_concurrent(
-    problem: &ConcurrentProblem,
+    problem: &ConcurrentProblem<'_>,
     kind: AllocatorKind,
     curves: &[MmseCurve],
     model: &ThroughputModel,
@@ -202,7 +153,7 @@ pub fn allocate_concurrent(
     let mut scratch = ConcurrentScratch::default();
     let mut out = ConcurrentSolution::default();
     allocate_concurrent_into(
-        &ConcurrentProblemRef::from_problem(problem),
+        problem,
         kind,
         curves,
         model,
@@ -215,10 +166,9 @@ pub fn allocate_concurrent(
 
 /// Zero-allocation Figure 6 iteration (see [`allocate_concurrent`]): writes
 /// the best solution found into `out`, reusing `scratch` and `out` buffers.
-/// Identical op sequence to the owned entry point, so results are
-/// bit-identical.
+/// Results do not depend on what a reused `scratch` held before.
 pub fn allocate_concurrent_into(
-    problem: &ConcurrentProblemRef<'_>,
+    problem: &ConcurrentProblem<'_>,
     kind: AllocatorKind,
     curves: &[MmseCurve],
     model: &ThroughputModel,
@@ -325,27 +275,43 @@ mod tests {
             .collect()
     }
 
-    fn symmetric_problem(seed: u64, cross_db_below: f64) -> ConcurrentProblem {
+    /// Owned gain grids behind a test [`ConcurrentProblem`].
+    struct Gains {
+        own: [Vec<Vec<f64>>; 2],
+        cross: [Vec<Vec<f64>>; 2],
+    }
+
+    impl Gains {
+        fn problem(&self) -> ConcurrentProblem<'_> {
+            ConcurrentProblem {
+                own_gains: [&self.own[0], &self.own[1]],
+                cross_gains: [&self.cross[0], &self.cross[1]],
+                noise_mw: NOISE,
+                budgets_mw: [31.6, 31.6],
+            }
+        }
+    }
+
+    fn symmetric_gains(seed: u64, cross_db_below: f64) -> Gains {
         let mut rng = SimRng::seed_from(seed);
         let own = 3e-8;
         let cross = own * copa_num::special::db_to_lin(-cross_db_below);
-        ConcurrentProblem {
-            own_gains: [
+        Gains {
+            own: [
                 vec![fading(&mut rng, own), fading(&mut rng, own)],
                 vec![fading(&mut rng, own), fading(&mut rng, own)],
             ],
-            cross_gains: [
+            cross: [
                 vec![fading(&mut rng, cross), fading(&mut rng, cross)],
                 vec![fading(&mut rng, cross), fading(&mut rng, cross)],
             ],
-            noise_mw: NOISE,
-            budgets_mw: [31.6, 31.6],
         }
     }
 
     #[test]
     fn budgets_respected() {
-        let p = symmetric_problem(1, 25.0);
+        let g = symmetric_gains(1, 25.0);
+        let p = g.problem();
         let sol = allocate_concurrent(
             &p,
             AllocatorKind::EquiSinr,
@@ -367,7 +333,8 @@ mod tests {
     fn weak_cross_interference_converges_fast() {
         // With nulled (tiny) cross gains the coupling is negligible and the
         // fixed point is reached almost immediately.
-        let p = symmetric_problem(2, 60.0);
+        let g = symmetric_gains(2, 60.0);
+        let p = g.problem();
         let sol = allocate_concurrent(
             &p,
             AllocatorKind::EquiSinr,
@@ -381,23 +348,23 @@ mod tests {
 
     #[test]
     fn strong_interference_lowers_prediction() {
-        let weak = symmetric_problem(3, 50.0);
+        let weak = symmetric_gains(3, 50.0);
         let strong = {
-            let mut p = symmetric_problem(3, 50.0);
+            let mut g = symmetric_gains(3, 50.0);
             // Same channels, but cross gains x1000 (20 dB below signal).
             for ap in 0..2 {
                 for k in 0..2 {
                     for s in 0..DATA_SUBCARRIERS {
-                        p.cross_gains[ap][k][s] *= 1000.0;
+                        g.cross[ap][k][s] *= 1000.0;
                     }
                 }
             }
-            p
+            g
         };
         let model = ThroughputModel::default();
         let cs = curves();
-        let sw = allocate_concurrent(&weak, AllocatorKind::EquiSinr, &cs, &model, 1.0);
-        let ss = allocate_concurrent(&strong, AllocatorKind::EquiSinr, &cs, &model, 1.0);
+        let sw = allocate_concurrent(&weak.problem(), AllocatorKind::EquiSinr, &cs, &model, 1.0);
+        let ss = allocate_concurrent(&strong.problem(), AllocatorKind::EquiSinr, &cs, &model, 1.0);
         let total = |s: &ConcurrentSolution| s.predicted_bps[0] + s.predicted_bps[1];
         assert!(
             total(&ss) < total(&sw),
@@ -409,7 +376,8 @@ mod tests {
 
     #[test]
     fn mercury_variant_runs_and_respects_budget() {
-        let p = symmetric_problem(4, 30.0);
+        let g = symmetric_gains(4, 30.0);
+        let p = g.problem();
         let sol = allocate_concurrent(
             &p,
             AllocatorKind::Mercury,
@@ -426,18 +394,17 @@ mod tests {
     fn asymmetric_streams_supported() {
         // Leader sends 2 streams, follower 1 (the SDA configuration).
         let mut rng = SimRng::seed_from(5);
-        let p = ConcurrentProblem {
-            own_gains: [
+        let g = Gains {
+            own: [
                 vec![fading(&mut rng, 3e-8), fading(&mut rng, 3e-8)],
                 vec![fading(&mut rng, 3e-8)],
             ],
-            cross_gains: [
+            cross: [
                 vec![fading(&mut rng, 3e-11), fading(&mut rng, 3e-11)],
                 vec![fading(&mut rng, 3e-11)],
             ],
-            noise_mw: NOISE,
-            budgets_mw: [31.6, 31.6],
         };
+        let p = g.problem();
         let sol = allocate_concurrent(
             &p,
             AllocatorKind::EquiSinr,
@@ -459,10 +426,11 @@ mod tests {
         let mut out = ConcurrentSolution::default();
         for seed in [1u64, 6, 9] {
             for &db in &[20.0, 45.0] {
-                let p = symmetric_problem(seed, db);
+                let g = symmetric_gains(seed, db);
+                let p = g.problem();
                 let fresh = allocate_concurrent(&p, AllocatorKind::EquiSinr, &cs, &model, 1.0);
                 allocate_concurrent_into(
-                    &ConcurrentProblemRef::from_problem(&p),
+                    &p,
                     AllocatorKind::EquiSinr,
                     &cs,
                     &model,
@@ -487,10 +455,12 @@ mod tests {
     #[test]
     fn interference_accounting_points_the_right_way() {
         // cross_gains[0] describes what AP0 does to client 1; check that
-        // interference_at(1, powers_of_ap0) uses it.
-        let p = symmetric_problem(6, 20.0);
+        // the interference at client 1 given AP0's powers uses it.
+        let g = symmetric_gains(6, 20.0);
+        let p = g.problem();
         let peer0 = TxPowers::equal(2, 31.6);
-        let inter1 = p.interference_at(1, &peer0);
+        let mut inter1 = Vec::new();
+        p.interference_into(1, &peer0, &mut inter1);
         let expected: f64 = (0..2)
             .map(|k| peer0.powers[k][0] * p.cross_gains[0][k][0])
             .sum();

@@ -7,6 +7,14 @@
 //!   waterfilling, and the stock equal-power baseline.
 //! * [`concurrent`] -- the coupled two-AP iteration of the paper's
 //!   Figure 6, with best-solution memory since the iteration may regress.
+//!
+//! Each problem has one form, and it borrows: [`StreamProblem`] points at
+//! one stream's gains (and, optionally, its interference), and
+//! [`ConcurrentProblem`] at both APs' own and cross gain grids, so callers
+//! hand the allocators their precoder buffers without cloning. The cross
+//! gains come from [`copa_precoding::cross_gain_grid_into`]. Every allocator
+//! has an allocating form; Equi-SINR and the Figure 6 iteration also have
+//! `_into` forms that reuse caller-owned scratch and output slots.
 
 #![warn(missing_docs)]
 

@@ -16,31 +16,32 @@ use copa_phy::link::{RateChoice, ThroughputModel};
 use copa_phy::mcs::Mcs;
 use copa_phy::mmse_curves::MmseCurve;
 use copa_phy::modulation::Modulation;
-use copa_phy::ofdm::DATA_SUBCARRIERS;
 
-/// The per-stream allocation problem.
-#[derive(Clone, Debug)]
-pub struct StreamProblem {
+/// The per-stream allocation problem, borrowed so callers can point straight
+/// into pooled gain/interference buffers (the engine's precoder
+/// `stream_gains`) without cloning them.
+#[derive(Clone, Copy, Debug)]
+pub struct StreamProblem<'a> {
     /// Effective channel gain of this stream on each subcarrier
     /// (`|H w|^2`, linear).
-    pub gains: Vec<f64>,
+    pub gains: &'a [f64],
     /// Per-subcarrier noise power, mW.
     pub noise_mw: f64,
-    /// Per-subcarrier exogenous interference power, mW (all zeros for the
-    /// sequential / SNR case).
-    pub interference_mw: Vec<f64>,
+    /// Per-subcarrier exogenous interference power, mW. `None` is the
+    /// sequential / SNR case, bit-identical to an all-zeros vector (the
+    /// floor is `noise + 0.0` either way).
+    pub interference_mw: Option<&'a [f64]>,
     /// Power budget for this stream, mW.
     pub budget_mw: f64,
 }
 
-impl StreamProblem {
+impl<'a> StreamProblem<'a> {
     /// An interference-free problem (Equi-SNR setting).
-    pub fn interference_free(gains: Vec<f64>, noise_mw: f64, budget_mw: f64) -> Self {
-        let n = gains.len();
+    pub fn interference_free(gains: &'a [f64], noise_mw: f64, budget_mw: f64) -> Self {
         Self {
             gains,
             noise_mw,
-            interference_mw: vec![0.0; n],
+            interference_mw: None,
             budget_mw,
         }
     }
@@ -56,8 +57,9 @@ impl StreamProblem {
     }
 
     /// Effective noise-plus-interference on subcarrier `s`.
+    #[inline]
     fn floor(&self, s: usize) -> f64 {
-        self.noise_mw + self.interference_mw[s]
+        self.noise_mw + self.interference_mw.map_or(0.0, |v| v[s])
     }
 
     /// SINR under equal power split (the stock-802.11 reference point).
@@ -106,50 +108,6 @@ impl Default for StreamAllocation {
     }
 }
 
-/// Borrowed view of a [`StreamProblem`]: the zero-allocation entry point
-/// ([`equi_sinr_into`]) takes this so the engine can point straight into its
-/// pooled gain/interference buffers. `interference_mw: None` is bit-identical
-/// to an all-zeros interference vector (`floor` computes `noise + 0.0` either
-/// way).
-#[derive(Clone, Copy, Debug)]
-pub struct StreamProblemRef<'a> {
-    /// Effective channel gain of this stream on each subcarrier.
-    pub gains: &'a [f64],
-    /// Per-subcarrier noise power, mW.
-    pub noise_mw: f64,
-    /// Per-subcarrier exogenous interference power, mW (`None` = all zero).
-    pub interference_mw: Option<&'a [f64]>,
-    /// Power budget for this stream, mW.
-    pub budget_mw: f64,
-}
-
-impl<'a> StreamProblemRef<'a> {
-    /// Borrows an owned problem.
-    pub fn from_problem(p: &'a StreamProblem) -> Self {
-        Self {
-            gains: &p.gains,
-            noise_mw: p.noise_mw,
-            interference_mw: Some(&p.interference_mw),
-            budget_mw: p.budget_mw,
-        }
-    }
-
-    /// Number of subcarriers.
-    pub fn len(&self) -> usize {
-        self.gains.len()
-    }
-
-    /// `true` when there are no subcarriers.
-    pub fn is_empty(&self) -> bool {
-        self.gains.is_empty()
-    }
-
-    #[inline]
-    fn floor(&self, s: usize) -> f64 {
-        self.noise_mw + self.interference_mw.map_or(0.0, |v| v[s])
-    }
-}
-
 /// Reusable scratch for [`equi_sinr_into`]: grows to the subcarrier count
 /// once, then steady-state allocation-free.
 #[derive(Clone, Debug, Default)]
@@ -166,19 +124,13 @@ pub struct AllocScratch {
 /// With zero interference this is exactly the paper's Equi-SNR; with the
 /// interference vector filled in it is the Equi-SINR step of Figure 6.
 pub fn equi_sinr(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
     let mut scratch = AllocScratch::default();
     let mut out = StreamAllocation::default();
-    equi_sinr_into(
-        &StreamProblemRef::from_problem(problem),
-        model,
-        airtime,
-        &mut scratch,
-        &mut out,
-    );
+    equi_sinr_into(problem, model, airtime, &mut scratch, &mut out);
     out
 }
 
@@ -197,7 +149,7 @@ pub fn equi_sinr(
 ///   exactly the no-replacement case.
 // alloc-free: begin equi_sinr_into
 pub fn equi_sinr_into(
-    problem: &StreamProblemRef<'_>,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
     scratch: &mut AllocScratch,
@@ -276,7 +228,7 @@ pub fn equi_sinr_into(
 /// halves of Algorithm 1; the paper reports that either half alone yields
 /// 60-70% of the full improvement (section 4.2).
 pub fn selection_only(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
@@ -321,7 +273,7 @@ pub fn selection_only(
 /// Power *allocation only*: equalize SINR across all subcarriers but never
 /// drop any. The other half of Algorithm 1 (section 4.2).
 pub fn allocation_only(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
@@ -348,7 +300,7 @@ pub fn allocation_only(
 /// Stock 802.11: equal power on every subcarrier, no dropping. The starting
 /// point all COPA variants improve on.
 pub fn equal_power(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
@@ -368,7 +320,7 @@ pub fn equal_power(
 /// Included as the baseline the paper notes "performs poorly for practical
 /// radios ... which transmit discrete constellations".
 pub fn waterfilling(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
@@ -399,7 +351,7 @@ pub fn waterfilling(
 /// `p_j = 0` where `g_j / floor_j <= lambda`. We bisect on `lambda` to meet
 /// the power budget; subcarrier selection falls out naturally.
 pub fn mercury_waterfilling(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     curve: &MmseCurve,
     model: &ThroughputModel,
     airtime: f64,
@@ -458,7 +410,7 @@ pub fn mercury_waterfilling(
 /// additional explicit drop counts layered on top (the paper's COPA+ uses
 /// "iterated mercury/waterfilling (including subcarrier selection)").
 pub fn mercury_best(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     curves: &[MmseCurve],
     model: &ThroughputModel,
     airtime: f64,
@@ -486,7 +438,7 @@ pub fn mercury_best(
 /// Evaluates a raw power vector: computes SINRs, picks the best MCS
 /// (restricted to `modulation` if given), and packages the allocation.
 fn finish(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     powers: Vec<f64>,
     model: &ThroughputModel,
     airtime: f64,
@@ -507,7 +459,7 @@ fn finish(
 }
 
 fn finish_for_modulation(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     powers: Vec<f64>,
     modulation: Modulation,
     model: &ThroughputModel,
@@ -539,56 +491,41 @@ pub fn mean_active_sinr_db(alloc: &StreamAllocation) -> f64 {
     copa_num::special::lin_to_db(mean(&active))
 }
 
-/// Builds a default-size problem from closures (testing convenience).
-pub fn problem_from_fn(
-    gain: impl Fn(usize) -> f64,
-    interference: impl Fn(usize) -> f64,
-    noise_mw: f64,
-    budget_mw: f64,
-) -> StreamProblem {
-    StreamProblem {
-        gains: (0..DATA_SUBCARRIERS).map(&gain).collect(),
-        noise_mw,
-        interference_mw: (0..DATA_SUBCARRIERS).map(&interference).collect(),
-        budget_mw,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use copa_num::special::db_to_lin;
     use copa_num::SimRng;
+    use copa_phy::ofdm::DATA_SUBCARRIERS;
 
     const NOISE: f64 = 1e-9;
     const BUDGET: f64 = 31.6 / 2.0; // half the 15 dBm budget (one of 2 streams)
 
-    fn rayleigh_problem(seed: u64) -> StreamProblem {
+    /// Gains of one exponential (Rayleigh-power) draw repeated on every
+    /// subcarrier: mean gain ~ -60 dBm rx at 15 dBm tx => gain ~ 3e-8.
+    fn rayleigh_gains(seed: u64) -> Vec<f64> {
         let mut rng = SimRng::seed_from(seed);
-        // Mean gain ~ -60 dBm rx at 15 dBm tx => gain ~ 3e-8; exponential
-        // (Rayleigh power) fading per subcarrier.
-        problem_from_fn(
-            |_| -rng.clone().uniform().ln() * 3e-8,
-            |_| 0.0,
-            NOISE,
-            BUDGET,
-        )
+        vec![-rng.uniform().ln() * 3e-8; DATA_SUBCARRIERS]
     }
 
-    fn fading_problem(seed: u64) -> StreamProblem {
+    fn fading_gains(seed: u64) -> Vec<f64> {
         let mut rng = SimRng::seed_from(seed);
-        let gains: Vec<f64> = (0..DATA_SUBCARRIERS)
+        (0..DATA_SUBCARRIERS)
             .map(|_| {
                 let u: f64 = rng.uniform().max(1e-9);
                 -u.ln() * 3e-8
             })
-            .collect();
+            .collect()
+    }
+
+    fn clean(gains: &[f64]) -> StreamProblem<'_> {
         StreamProblem::interference_free(gains, NOISE, BUDGET)
     }
 
     #[test]
     fn equi_snr_conserves_power() {
-        let p = fading_problem(1);
+        let g = fading_gains(1);
+        let p = clean(&g);
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 1.0);
         assert!((a.total_power_mw() - BUDGET).abs() < 1e-9 * BUDGET);
@@ -596,7 +533,8 @@ mod tests {
 
     #[test]
     fn equi_snr_equalizes_active_sinrs() {
-        let p = fading_problem(2);
+        let g = fading_gains(2);
+        let p = clean(&g);
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 1.0);
         let active: Vec<f64> = a.sinrs.iter().cloned().filter(|&x| x > 0.0).collect();
@@ -612,7 +550,8 @@ mod tests {
         let model = ThroughputModel::default();
         let mut wins = 0;
         for seed in 0..20 {
-            let p = fading_problem(seed + 100);
+            let g = fading_gains(seed + 100);
+            let p = clean(&g);
             let eq = equal_power(&p, &model, 1.0);
             let es = equi_sinr(&p, &model, 1.0);
             assert!(
@@ -631,7 +570,8 @@ mod tests {
 
     #[test]
     fn flat_channel_needs_no_dropping() {
-        let p = StreamProblem::interference_free(vec![3e-8; DATA_SUBCARRIERS], NOISE, BUDGET);
+        let g = vec![3e-8; DATA_SUBCARRIERS];
+        let p = clean(&g);
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 1.0);
         assert_eq!(a.dropped, 0);
@@ -646,7 +586,7 @@ mod tests {
         for g in gains.iter_mut().take(6) {
             *g = 3e-12; // 40 dB fade
         }
-        let p = StreamProblem::interference_free(gains, NOISE, BUDGET);
+        let p = clean(&gains);
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 1.0);
         assert!(
@@ -666,7 +606,14 @@ mod tests {
     fn equi_sinr_avoids_interfered_subcarriers() {
         // Strong interference on half the band: those subcarriers should be
         // dropped or heavily compensated.
-        let p = problem_from_fn(|_| 3e-8, |s| if s < 26 { 1e-7 } else { 0.0 }, NOISE, BUDGET);
+        let g = vec![3e-8; DATA_SUBCARRIERS];
+        let i: Vec<f64> = (0..DATA_SUBCARRIERS)
+            .map(|s| if s < 26 { 1e-7 } else { 0.0 })
+            .collect();
+        let p = StreamProblem {
+            interference_mw: Some(&i),
+            ..clean(&g)
+        };
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 1.0);
         // Equalization puts more power where interference is, OR drops them;
@@ -684,14 +631,15 @@ mod tests {
 
     #[test]
     fn waterfilling_conserves_power_and_fills_strong_subcarriers() {
-        let p = fading_problem(7);
+        let g = fading_gains(7);
+        let p = clean(&g);
         let model = ThroughputModel::default();
         let a = waterfilling(&p, &model, 1.0);
         assert!((a.total_power_mw() - BUDGET).abs() < 1e-6 * BUDGET);
         // Waterfilling gives MORE power to better subcarriers (opposite of
         // Equi-SNR's inversion) -- check correlation sign.
         let mut cov = 0.0;
-        let gm = mean(&p.gains);
+        let gm = mean(p.gains);
         let pm = mean(&a.powers);
         for s in 0..p.len() {
             cov += (p.gains[s] - gm) * (a.powers[s] - pm);
@@ -704,7 +652,8 @@ mod tests {
         let model = ThroughputModel::default();
         let curves: Vec<MmseCurve> = Modulation::ALL.iter().map(|&m| MmseCurve::new(m)).collect();
         for seed in 0..5 {
-            let p = fading_problem(seed + 300);
+            let g = fading_gains(seed + 300);
+            let p = clean(&g);
             let a = mercury_best(&p, &curves, &model, 1.0);
             assert!(a.total_power_mw() <= BUDGET * (1.0 + 1e-6));
             let eq = equal_power(&p, &model, 1.0);
@@ -718,8 +667,9 @@ mod tests {
     #[test]
     fn low_snr_drops_more() {
         let model = ThroughputModel::default();
-        let p_hi = fading_problem(42);
-        let mut p_lo = p_hi.clone();
+        let g = fading_gains(42);
+        let p_hi = clean(&g);
+        let mut p_lo = p_hi;
         // 25 dB less power available.
         p_lo.budget_mw *= db_to_lin(-25.0);
         let a_hi = equi_sinr(&p_hi, &model, 1.0);
@@ -739,7 +689,8 @@ mod tests {
         let mut alloc_wins = 0.0;
         let mut n = 0.0;
         for seed in 0..25 {
-            let p = fading_problem(seed + 900);
+            let g = fading_gains(seed + 900);
+            let p = clean(&g);
             let eq = equal_power(&p, &model, 1.0).throughput_bps;
             let full = equi_sinr(&p, &model, 1.0).throughput_bps;
             let sel = selection_only(&p, &model, 1.0).throughput_bps;
@@ -779,7 +730,8 @@ mod tests {
 
     #[test]
     fn allocation_only_never_drops() {
-        let p = fading_problem(55);
+        let g = fading_gains(55);
+        let p = clean(&g);
         let model = ThroughputModel::default();
         let a = allocation_only(&p, &model, 1.0);
         assert_eq!(a.dropped, 0);
@@ -789,7 +741,8 @@ mod tests {
 
     #[test]
     fn selection_only_splits_equally_among_survivors() {
-        let p = fading_problem(56);
+        let g = fading_gains(56);
+        let p = clean(&g);
         let model = ThroughputModel::default();
         let a = selection_only(&p, &model, 1.0);
         let active: Vec<f64> = a.powers.iter().cloned().filter(|&x| x > 0.0).collect();
@@ -802,7 +755,7 @@ mod tests {
     /// MCS scan per drop count), kept verbatim as the bit-identity oracle
     /// for the pruned production path.
     fn exhaustive_reference(
-        problem: &StreamProblem,
+        problem: &StreamProblem<'_>,
         model: &ThroughputModel,
         airtime: f64,
     ) -> StreamAllocation {
@@ -877,16 +830,18 @@ mod tests {
         for seed in 0..40 {
             // Mix of clean, interfered, and power-starved problems so the
             // pruning is exercised across very different drop counts.
-            let mut p = if seed % 3 == 0 {
-                let mut rng = SimRng::seed_from(seed + 7000);
-                problem_from_fn(
-                    |_| -rng.clone().uniform().ln() * 3e-8,
-                    |s| if s % 4 == 0 { 2e-8 } else { 0.0 },
-                    NOISE,
-                    BUDGET,
-                )
+            let interfered = seed % 3 == 0;
+            let g = if interfered {
+                rayleigh_gains(seed + 7000)
             } else {
-                fading_problem(seed + 7000)
+                fading_gains(seed + 7000)
+            };
+            let i: Vec<f64> = (0..DATA_SUBCARRIERS)
+                .map(|s| if interfered && s % 4 == 0 { 2e-8 } else { 0.0 })
+                .collect();
+            let mut p = StreamProblem {
+                interference_mw: Some(&i),
+                ..clean(&g)
             };
             if seed % 5 == 0 {
                 p.budget_mw *= db_to_lin(-25.0);
@@ -904,24 +859,28 @@ mod tests {
         let model = ThroughputModel::default();
         let mut scratch = AllocScratch::default();
         for seed in 0..10 {
-            let p = fading_problem(seed + 5500);
-            let via_problem = equi_sinr(&p, &model, 0.88);
+            let g = fading_gains(seed + 5500);
+            let p = clean(&g);
+            let zeros = vec![0.0; DATA_SUBCARRIERS];
+            let via_zeros = equi_sinr(
+                &StreamProblem {
+                    interference_mw: Some(&zeros),
+                    ..p
+                },
+                &model,
+                0.88,
+            );
             let mut out = StreamAllocation::default();
-            let r = StreamProblemRef {
-                gains: &p.gains,
-                noise_mw: p.noise_mw,
-                interference_mw: None,
-                budget_mw: p.budget_mw,
-            };
-            equi_sinr_into(&r, &model, 0.88, &mut scratch, &mut out);
-            assert_allocs_bit_identical(&out, &via_problem, &format!("seed {seed}"));
+            equi_sinr_into(&p, &model, 0.88, &mut scratch, &mut out);
+            assert_allocs_bit_identical(&out, &via_zeros, &format!("seed {seed}"));
         }
     }
 
     #[test]
     fn rayleigh_smoke() {
         // Just ensure the randomized constructor path works end to end.
-        let p = rayleigh_problem(9);
+        let g = rayleigh_gains(9);
+        let p = clean(&g);
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 0.88);
         assert!(a.throughput_bps > 0.0);

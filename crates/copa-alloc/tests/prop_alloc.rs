@@ -24,9 +24,9 @@ fn equi_sinr_conserves_budget() {
         let i = interference(gen);
         let budget = gen.f64_in(1.0, 40.0);
         let p = StreamProblem {
-            gains: g,
+            gains: &g,
             noise_mw: 2e-11,
-            interference_mw: i,
+            interference_mw: Some(&i),
             budget_mw: budget,
         };
         let model = ThroughputModel::default();
@@ -48,9 +48,9 @@ fn equi_sinr_equalizes_survivors() {
         let g = gains(gen);
         let i = interference(gen);
         let p = StreamProblem {
-            gains: g,
+            gains: &g,
             noise_mw: 2e-11,
-            interference_mw: i,
+            interference_mw: Some(&i),
             budget_mw: 15.8,
         };
         let model = ThroughputModel::default();
@@ -74,9 +74,9 @@ fn equi_sinr_never_below_equal_power() {
         let g = gains(gen);
         let i = interference(gen);
         let p = StreamProblem {
-            gains: g,
+            gains: &g,
             noise_mw: 2e-11,
-            interference_mw: i,
+            interference_mw: Some(&i),
             budget_mw: 15.8,
         };
         let model = ThroughputModel::default();
@@ -100,7 +100,7 @@ fn waterfilling_conserves_budget() {
     check("waterfilling_conserves_budget", CASES, |gen| {
         let g = gains(gen);
         let budget = gen.f64_in(1.0, 40.0);
-        let p = StreamProblem::interference_free(g, 2e-11, budget);
+        let p = StreamProblem::interference_free(&g, 2e-11, budget);
         let model = ThroughputModel::default();
         let a = waterfilling(&p, &model, 1.0);
         prop_assert!((a.total_power_mw() - budget).abs() < 1e-4 * budget);
@@ -114,7 +114,7 @@ fn dropping_only_hurts_weakest() {
     check("dropping_only_hurts_weakest", CASES, |gen| {
         // Every dropped subcarrier must have quality <= every active one.
         let g = gains(gen);
-        let p = StreamProblem::interference_free(g, 2e-11, 15.8);
+        let p = StreamProblem::interference_free(&g, 2e-11, 15.8);
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 1.0);
         let min_active_quality = (0..52)
@@ -139,16 +139,17 @@ fn more_interference_never_helps() {
         let g = gains(gen);
         let i = interference(gen);
         let model = ThroughputModel::default();
+        let zeros = vec![0.0; 52];
         let clean = StreamProblem {
-            gains: g.clone(),
+            gains: &g,
             noise_mw: 2e-11,
-            interference_mw: vec![0.0; 52],
+            interference_mw: Some(&zeros),
             budget_mw: 15.8,
         };
         let dirty = StreamProblem {
-            gains: g,
+            gains: &g,
             noise_mw: 2e-11,
-            interference_mw: i,
+            interference_mw: Some(&i),
             budget_mw: 15.8,
         };
         let a_clean = equi_sinr(&clean, &model, 1.0);

@@ -61,18 +61,9 @@ impl CsiCache {
             );
     }
 
-    /// Fetches CSI if it is still fresh (within one coherence time).
-    ///
-    /// Clones the channel out of the cache; when the caller only needs to
-    /// *look* at the CSI, [`Self::with_fresh`] avoids the clone.
-    #[deprecated(note = "use `with_fresh`, which inspects under the guard without cloning")]
-    pub fn fresh(&self, sender: Addr, now_us: f64, coherence_us: f64) -> Option<FreqChannel> {
-        self.with_fresh(sender, now_us, coherence_us, |ch| ch.clone())
-    }
-
-    /// Applies `f` to the cached channel if it is still fresh, under a
-    /// single read guard and without cloning the channel. This is the one
-    /// lock acquisition on the whole `fresh`-lookup path.
+    /// Applies `f` to the cached channel if it is still fresh (within one
+    /// coherence time), under a single read guard and without cloning the
+    /// channel. A caller that needs an owned copy clones inside `f`.
     pub fn with_fresh<R>(
         &self,
         sender: Addr,
@@ -571,7 +562,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the legacy `fresh` wrapper too
     fn csi_cache_with_fresh_avoids_clone() {
         let cache = CsiCache::new();
         let ch = FreqChannel::random(
@@ -591,9 +581,9 @@ mod tests {
         assert!(cache
             .with_fresh(Addr::from_id(4), 0.0, 1000.0, |_| ())
             .is_none());
-        // fresh() is the cloning wrapper over the same path.
-        let got = cache.fresh(a, 10.0, 1000.0).expect("fresh");
-        assert_eq!(got.at(0)[(0, 0)], ch.at(0)[(0, 0)]);
+        // The closure sees the cached channel itself.
+        let got = cache.with_fresh(a, 10.0, 1000.0, |c| c.at(0)[(0, 0)]);
+        assert_eq!(got, Some(ch.at(0)[(0, 0)]));
     }
 
     #[test]

@@ -13,11 +13,11 @@ use crate::scenario::{prepare_into, PreparedScenario, ScenarioParams, ScenarioVi
 use crate::strategy::{Outcome, OutcomeVec, Strategy};
 use crate::telemetry::{phase_span, EngineObs};
 use copa_alloc::concurrent::{
-    allocate_concurrent_into, AllocatorKind, ConcurrentProblemRef, ConcurrentScratch,
+    allocate_concurrent_into, AllocatorKind, ConcurrentProblem, ConcurrentScratch,
     ConcurrentSolution,
 };
 use copa_alloc::stream::{
-    equi_sinr_into, mercury_best, AllocScratch, StreamAllocation, StreamProblem, StreamProblemRef,
+    equi_sinr_into, mercury_best, AllocScratch, StreamAllocation, StreamProblem,
 };
 use copa_channel::{FreqChannel, Topology};
 use copa_mac::overhead::{airtime_efficiency, OverheadConfig, Scheme};
@@ -25,12 +25,11 @@ use copa_num::matrix::CMat;
 use copa_num::svd::{cond_into, Svd, SvdScratch};
 use copa_phy::mmse_curves::MmseCurve;
 use copa_phy::modulation::Modulation;
-use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::beamform_with;
 use copa_precoding::nulling::null_toward_with;
 use copa_precoding::sda::antenna_to_keep;
 use copa_precoding::sinr::{active_cells_into, mmse_sinr_grid_with, SinrScratch, TxSide};
-use copa_precoding::{LinkPrecoding, PrecodeScratch, TxPowers};
+use copa_precoding::{cross_gain_grid_into, LinkPrecoding, PrecodeScratch, TxPowers};
 
 /// How the receiver decodes (section 4.6): one decoder for the whole frame
 /// (stock 802.11) or one decoder per coding rate, enabling per-subcarrier
@@ -593,7 +592,7 @@ impl Engine {
     /// Allocates every stream of one AP independently (used by sequential
     /// strategies; `interference` per subcarrier if any), writing into the
     /// pooled `out`. The equi-SINR path is allocation-free after warm-up;
-    /// mercury (off by default) still builds owned problems.
+    /// mercury (off by default) still allocates inside the allocator.
     #[allow(clippy::too_many_arguments)]
     fn alloc_streams_into(
         &self,
@@ -611,27 +610,19 @@ impl Engine {
         out.powers.truncate(streams);
         out.powers.resize_with(streams, Vec::new);
         for k in 0..streams {
+            let problem = StreamProblem {
+                gains: &pre.stream_gains[k],
+                noise_mw: noise,
+                interference_mw: interference,
+                budget_mw: budget / streams as f64,
+            };
             match kind {
                 AllocatorKind::EquiSinr => {
-                    let problem = StreamProblemRef {
-                        gains: &pre.stream_gains[k],
-                        noise_mw: noise,
-                        interference_mw: interference,
-                        budget_mw: budget / streams as f64,
-                    };
                     equi_sinr_into(&problem, &self.params.model, eff, alloc, stream_out);
                     out.powers[k].clear();
                     out.powers[k].extend_from_slice(&stream_out.powers);
                 }
                 AllocatorKind::Mercury => {
-                    let problem = StreamProblem {
-                        gains: pre.stream_gains[k].clone(),
-                        noise_mw: noise,
-                        interference_mw: interference
-                            .map(|v| v.to_vec())
-                            .unwrap_or_else(|| vec![0.0; DATA_SUBCARRIERS]),
-                        budget_mw: budget / streams as f64,
-                    };
                     let a = mercury_best(&problem, &self.curves, &self.params.model, eff);
                     out.powers[k] = a.powers;
                 }
@@ -868,7 +859,7 @@ impl Engine {
                         cg_hw,
                         &mut cross_gains[1],
                     );
-                    let problem = ConcurrentProblemRef {
+                    let problem = ConcurrentProblem {
                         own_gains: [&pres[0].stream_gains, &pres[1].stream_gains],
                         cross_gains: [&cross_gains[0], &cross_gains[1]],
                         noise_mw: noise,
@@ -932,36 +923,6 @@ impl Engine {
         })
     }
 }
-
-// alloc-free: begin cross_gain_grid (per-subcarrier kernel -- no vec! / .to_vec / with_capacity)
-/// Predicted gain of each of `pre`'s streams at the victim behind the cross
-/// channel `hx`: residual nulling leakage plus the EVM floor the radio specs
-/// promise. The outer `streams x DATA_SUBCARRIERS` grid lands in the pooled
-/// `out` (rows cleared and refilled, capacity retained across topologies);
-/// the per-subcarrier matrix products go through caller-owned scratch.
-fn cross_gain_grid_into(
-    hx: &FreqChannel,
-    pre: &LinkPrecoding,
-    evm: f64,
-    w: &mut CMat,
-    hw: &mut CMat,
-    out: &mut Vec<Vec<f64>>,
-) {
-    let streams = pre.streams();
-    out.truncate(streams);
-    out.resize_with(streams, Default::default);
-    for (k, row) in out.iter_mut().enumerate() {
-        row.clear();
-        for s in 0..DATA_SUBCARRIERS {
-            pre.precoder[s].column_into(k, w);
-            hx.at(s).mul_into(w, hw);
-            let leak = hw.frobenius_norm_sqr();
-            let evm_floor = evm * hx.at(s).frobenius_norm_sqr() / hx.tx() as f64;
-            row.push(leak + evm_floor);
-        }
-    }
-}
-// alloc-free: end cross_gain_grid
 
 /// Static channel-matrix names for error context (indexed `[i][j]`).
 const EST_NAMES: [[&str; 2]; 2] = [["est[0][0]", "est[0][1]"], ["est[1][0]", "est[1][1]"]];

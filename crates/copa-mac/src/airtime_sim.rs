@@ -69,11 +69,6 @@ impl MediumOutcome {
         let c = self.control_us[0] + self.control_us[1];
         c / (c + self.copa_wall_data_us)
     }
-
-    /// Realized overhead fraction of legacy station `i`.
-    pub fn legacy_overhead_fraction(&self, i: usize) -> f64 {
-        self.control_us[i] / (self.control_us[i] + self.data_us[i])
-    }
 }
 
 /// Runs the event-driven simulation.

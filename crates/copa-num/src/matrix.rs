@@ -63,11 +63,6 @@ impl CMat {
         m
     }
 
-    /// Builds a column vector (`n x 1`) from a slice.
-    pub fn col_vector(v: &[C64]) -> Self {
-        Self::from_rows(v.len(), 1, v)
-    }
-
     /// Builds a diagonal matrix from real diagonal entries.
     pub fn diag_real(d: &[f64]) -> Self {
         let mut m = Self::zeros(d.len(), d.len());
@@ -155,11 +150,6 @@ impl CMat {
     /// Multiplies every entry by a real scalar.
     pub fn scale(&self, s: f64) -> CMat {
         CMat::from_fn(self.rows, self.cols, |i, j| self[(i, j)].scale(s))
-    }
-
-    /// Multiplies every entry by a complex scalar.
-    pub fn scale_c(&self, s: C64) -> CMat {
-        CMat::from_fn(self.rows, self.cols, |i, j| self[(i, j)] * s)
     }
 
     /// Extracts column `j` as a `rows x 1` matrix.

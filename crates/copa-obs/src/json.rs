@@ -260,14 +260,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Object fields in document order, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// Parses a complete JSON document. Errors carry a byte offset and a short

@@ -7,8 +7,6 @@
 //! same union bound, plus a real K=7 (133, 171) encoder and hard-decision
 //! Viterbi decoder so tests can validate the analytic model bit-by-bit.
 
-use crate::modulation::Modulation;
-
 /// 802.11 convolutional code rates (mother code K=7, generators 133/171
 /// octal; higher rates by puncturing).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -474,12 +472,6 @@ pub fn frame_error_rate_bits(pb: f64, len_bits: usize) -> f64 {
     }
     // ln1p for numerical accuracy at tiny pb.
     1.0 - (bits * (-pb).ln_1p()).exp()
-}
-
-/// Coded BER for a modulation + rate pair at symbol SINR `gamma` (linear):
-/// chains [`Modulation::uncoded_ber`] into [`coded_ber`].
-pub fn coded_ber_at_sinr(modulation: Modulation, rate: CodeRate, gamma: f64) -> f64 {
-    coded_ber(modulation.uncoded_ber(gamma), rate)
 }
 
 #[cfg(test)]

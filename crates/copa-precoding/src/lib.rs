@@ -2,7 +2,9 @@
 //!
 //! MIMO precoding and receive processing for the COPA reproduction:
 //!
-//! * [`precoder`] -- the `LinkPrecoding` / `TxPowers` data model.
+//! * [`precoder`] -- the `LinkPrecoding` / `TxPowers` data model, and
+//!   [`cross_gain_grid_into`], the per-stream leakage-gain (plus EVM floor)
+//!   builder that feeds the concurrent allocator.
 //! * [`beamforming`] -- SVD transmit beamforming (section 3.3).
 //! * [`nulling`] -- nullspace-projection interference nulling, including
 //!   degrees-of-freedom accounting for overconstrained cases.
@@ -21,7 +23,7 @@ pub mod sinr;
 
 pub use beamforming::{beamform, beamform_with};
 pub use nulling::{null_toward, null_toward_with, nulling_dof};
-pub use precoder::{LinkPrecoding, PrecodeScratch, TxPowers};
+pub use precoder::{cross_gain_grid_into, LinkPrecoding, PrecodeScratch, TxPowers};
 pub use sinr::{
     active_cells, active_cells_into, mmse_sinr_grid, mmse_sinr_grid_with,
     received_power_per_subcarrier, SinrScratch, TxSide,

@@ -1,5 +1,6 @@
 //! Precoding data model shared by beamforming, nulling and the allocators.
 
+use copa_channel::FreqChannel;
 use copa_num::batch::{CBatch, SvdBatch, SvdBatchScratch};
 use copa_num::matrix::CMat;
 use copa_num::svd::{Svd, SvdScratch};
@@ -114,6 +115,38 @@ impl LinkPrecoding {
         })
     }
 }
+
+// alloc-free: begin cross_gain_grid (per-subcarrier kernel -- no vec! / .to_vec / with_capacity)
+/// Predicted gain of each of `pre`'s streams at the victim behind the cross
+/// channel `hx`: residual nulling leakage `|H_x w_k|^2` plus the EVM floor
+/// the radio specs promise. This is the cross-gain model the Figure 6
+/// allocator iterates on. The outer `streams x DATA_SUBCARRIERS` grid lands
+/// in the pooled `out` (rows cleared and refilled, capacity retained across
+/// calls); the per-subcarrier matrix products go through caller-owned
+/// scratch `w` and `hw`.
+pub fn cross_gain_grid_into(
+    hx: &FreqChannel,
+    pre: &LinkPrecoding,
+    evm: f64,
+    w: &mut CMat,
+    hw: &mut CMat,
+    out: &mut Vec<Vec<f64>>,
+) {
+    let streams = pre.streams();
+    out.truncate(streams);
+    out.resize_with(streams, Default::default);
+    for (k, row) in out.iter_mut().enumerate() {
+        row.clear();
+        for s in 0..DATA_SUBCARRIERS {
+            pre.precoder[s].column_into(k, w);
+            hx.at(s).mul_into(w, hw);
+            let leak = hw.frobenius_norm_sqr();
+            let evm_floor = evm * hx.at(s).frobenius_norm_sqr() / hx.tx() as f64;
+            row.push(leak + evm_floor);
+        }
+    }
+}
+// alloc-free: end cross_gain_grid
 
 /// Per-stream, per-subcarrier transmit powers in mW.
 #[derive(Clone, Debug, Default, PartialEq)]

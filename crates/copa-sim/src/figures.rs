@@ -7,6 +7,7 @@ use crate::json::{Obj, ToJson};
 use copa_alloc::concurrent::{allocate_concurrent, AllocatorKind, ConcurrentProblem};
 use copa_channel::{AntennaConfig, FreqChannel, MultipathProfile, Topology, TopologySampler};
 use copa_core::{prepare, ScenarioParams};
+use copa_num::matrix::CMat;
 use copa_num::special::{lin_to_db, mw_to_dbm};
 use copa_num::stats::{mean, std_dev};
 use copa_num::SimRng;
@@ -15,7 +16,7 @@ use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::beamform;
 use copa_precoding::nulling::null_toward;
 use copa_precoding::sinr::{active_cells, mmse_sinr_grid, received_power_per_subcarrier, TxSide};
-use copa_precoding::TxPowers;
+use copa_precoding::{cross_gain_grid_into, TxPowers};
 
 /// Figure 2: received power per subcarrier at two antennas from one send
 /// antenna with equal power allocation.
@@ -243,25 +244,13 @@ pub fn fig7(topo: &Topology, params: &ScenarioParams) -> Fig7 {
 
     // COPA's concurrent Equi-SINR allocation.
     let evm = params.impairments.evm_factor();
-    let cross = |est: &FreqChannel, pre: &copa_precoding::LinkPrecoding| -> Vec<Vec<f64>> {
-        (0..pre.streams())
-            .map(|k| {
-                (0..DATA_SUBCARRIERS)
-                    .map(|s| {
-                        let w = pre.precoder[s].column(k);
-                        est.at(s).matmul(&w).frobenius_norm_sqr()
-                            + evm * est.at(s).frobenius_norm_sqr() / est.tx() as f64
-                    })
-                    .collect()
-            })
-            .collect()
-    };
+    let (mut w, mut hw) = (CMat::default(), CMat::default());
+    let mut cross = [Vec::new(), Vec::new()];
+    cross_gain_grid_into(&prep.est[0][1], &null0, evm, &mut w, &mut hw, &mut cross[0]);
+    cross_gain_grid_into(&prep.est[1][0], &null1, evm, &mut w, &mut hw, &mut cross[1]);
     let problem = ConcurrentProblem {
-        own_gains: [null0.stream_gains.clone(), null1.stream_gains.clone()],
-        cross_gains: [
-            cross(&prep.est[0][1], &null0),
-            cross(&prep.est[1][0], &null1),
-        ],
+        own_gains: [&null0.stream_gains, &null1.stream_gains],
+        cross_gains: [&cross[0], &cross[1]],
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };

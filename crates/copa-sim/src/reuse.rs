@@ -13,9 +13,11 @@ use crate::json::{Obj, ToJson};
 use copa_alloc::concurrent::{allocate_concurrent, AllocatorKind, ConcurrentProblem};
 use copa_channel::Topology;
 use copa_core::{prepare, ScenarioParams};
+use copa_num::matrix::CMat;
 use copa_phy::link::ThroughputModel;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::beamform;
+use copa_precoding::cross_gain_grid_into;
 
 /// Per-topology subcarrier usage classification of a concurrent solution.
 #[derive(Clone, Debug)]
@@ -53,22 +55,13 @@ pub fn concurrent_reuse(topology: &Topology, params: &ScenarioParams) -> ReuseSt
     let pre0 = beamform(&p.est[0][0], streams);
     let pre1 = beamform(&p.est[1][1], streams);
     let evm = params.impairments.evm_factor();
-    let cross = |est: &copa_channel::FreqChannel, pre: &copa_precoding::LinkPrecoding| {
-        (0..pre.streams())
-            .map(|k| {
-                (0..DATA_SUBCARRIERS)
-                    .map(|s| {
-                        let w = pre.precoder[s].column(k);
-                        est.at(s).matmul(&w).frobenius_norm_sqr()
-                            + evm * est.at(s).frobenius_norm_sqr() / est.tx() as f64
-                    })
-                    .collect()
-            })
-            .collect()
-    };
+    let (mut w, mut hw) = (CMat::default(), CMat::default());
+    let mut cross = [Vec::new(), Vec::new()];
+    cross_gain_grid_into(&p.est[0][1], &pre0, evm, &mut w, &mut hw, &mut cross[0]);
+    cross_gain_grid_into(&p.est[1][0], &pre1, evm, &mut w, &mut hw, &mut cross[1]);
     let problem = ConcurrentProblem {
-        own_gains: [pre0.stream_gains.clone(), pre1.stream_gains.clone()],
-        cross_gains: [cross(&p.est[0][1], &pre0), cross(&p.est[1][0], &pre1)],
+        own_gains: [&pre0.stream_gains, &pre1.stream_gains],
+        cross_gains: [&cross[0], &cross[1]],
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };

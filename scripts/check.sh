@@ -87,6 +87,10 @@ hotpath_quick() {
     fi
 }
 
+# Size report (no gate): the simplicity aim tracks these two numbers.
+echo "==> info: $(find crates -name '*.rs' | xargs cat | wc -l | tr -d ' ') lines of Rust under crates/," \
+     "$(grep -rhE --include='*.rs' '\bpub fn\b' crates | wc -l | tr -d ' ') pub fn"
+
 echo "==> 1/7 hermeticity: no registry dependencies in any Cargo.toml"
 bad=0
 while IFS= read -r toml; do
@@ -184,11 +188,11 @@ echo "==> 6/7 cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
 echo "==> 7/7 deprecation gate: no in-repo callers of deprecated APIs"
-# Deprecated shims (e.g. the pre-supervisor evaluate* entry points) exist
-# only for downstream compatibility; new in-repo code must use the
-# replacements. A separate target dir keeps -D deprecated from thrashing
-# the main build cache. #[allow(deprecated)] still works for the shims'
-# own unit tests.
+# The workspace currently has no #[deprecated] items. Any future shim
+# exists only for downstream compatibility: in-repo code must use its
+# replacement, and only the shim's own unit tests may opt out with
+# #[allow(deprecated)]. A separate target dir keeps -D deprecated from
+# thrashing the main build cache.
 RUSTFLAGS="-D deprecated" CARGO_TARGET_DIR=target/deprecated \
     cargo check -q --offline --workspace --all-targets || {
     echo "deprecation gate FAILED: migrate off deprecated APIs (or #[allow(deprecated)] inside the shim's own tests)" >&2

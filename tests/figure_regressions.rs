@@ -6,11 +6,12 @@
 //! Absolute Mbps are deliberately not asserted: they move with every
 //! legitimate PHY-model refinement; the orderings must not.
 
-use copa::channel::AntennaConfig;
-use copa::core::ScenarioParams;
+use copa::channel::{AntennaConfig, TopologySampler};
+use copa::core::{Evaluation, Outcome, ScenarioParams};
+use copa::sim::reuse::reuse_summary;
 use copa::sim::{
-    fig10, fig11, fig12, headline_stats, run_campus_suite, standard_suite, CampusParams,
-    CampusScheme, SuiteConfig,
+    allocator_comparison, evaluate_serial, fig10, fig11, fig12, fig7, headline_stats,
+    run_campus_suite, standard_suite, CampusParams, CampusScheme, SuiteConfig,
 };
 
 const THREADS: usize = 4;
@@ -271,5 +272,118 @@ fn waveform_fer_degrades_monotonically_with_impairments() {
     assert!(
         timing_fers[3] > timing_fers[0] + 0.2,
         "8 samples of late timing must clearly degrade FER: {timing_fers:?}"
+    );
+}
+
+/// FNV-1a over a stream of 64-bit words: a compact bit-exact fingerprint.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn outcome(&mut self, o: &Outcome) {
+        self.word(o.strategy as u64);
+        self.f64(o.per_client_bps[0]);
+        self.f64(o.per_client_bps[1]);
+    }
+
+    fn evaluation(&mut self, e: &Evaluation) {
+        for o in &e.outcomes {
+            self.outcome(o);
+        }
+        for o in [&e.csma, &e.copa_seq, &e.copa, &e.copa_fair] {
+            self.outcome(o);
+        }
+        for o in [&e.vanilla_null, &e.copa_plus, &e.copa_plus_fair] {
+            match o {
+                Some(o) => self.outcome(o),
+                None => self.word(u64::MAX),
+            }
+        }
+    }
+}
+
+/// Bit-exact pins on the allocator-facing paths: Figure 7's concurrent
+/// Equi-SINR on nulling precoders, the 1x1 subcarrier-reuse analysis, the
+/// single-stream allocator ablation, and full engine evaluations with the
+/// mercury (COPA+) menu on 1x1 and 4x2 topologies. Any change to the
+/// leakage-gain model, the allocators or the Figure 6 iteration that moves
+/// a single bit of these outputs fails here.
+#[test]
+fn allocation_paths_are_bit_pinned() {
+    let params = ScenarioParams::default();
+
+    let mut d = Digest::new();
+    let f = fig7(&standard_suite(AntennaConfig::CONSTRAINED_4X2)[1], &params);
+    for b in &f.ber_copa {
+        match b {
+            Some(b) => d.f64(*b),
+            None => d.word(u64::MAX),
+        }
+    }
+    for &b in &f.ber_nopa {
+        d.f64(b);
+    }
+    for &s in &f.dropped {
+        d.word(s as u64);
+    }
+    d.f64(f.copa_mbps);
+    d.f64(f.nopa_mbps);
+    d.word(u64::from(f.mcs_index));
+    let fig7_digest = d.0;
+
+    let mut d = Digest::new();
+    let suite = TopologySampler::default().suite(0x0FD, 5, AntennaConfig::SINGLE);
+    let r = reuse_summary(&suite, &params);
+    d.f64(r.mean_exclusive);
+    d.f64(r.mean_shared);
+    d.f64(r.mean_unused);
+    d.word(r.topologies_with_sharing as u64);
+    let reuse_digest = d.0;
+
+    let mut d = Digest::new();
+    for &m in &allocator_comparison(0x1BEA, 20, 22.0).mean_mbps {
+        d.f64(m);
+    }
+    let ablation_digest = d.0;
+
+    let mut d = Digest::new();
+    let mercury = ScenarioParams {
+        include_mercury: true,
+        ..Default::default()
+    };
+    let sampler = TopologySampler::default();
+    for config in [AntennaConfig::SINGLE, AntennaConfig::CONSTRAINED_4X2] {
+        let suite = sampler.suite(0xD16E, 2, config);
+        for e in &evaluate_serial(&mercury, &suite) {
+            assert!(e.copa_plus.is_some() && e.copa_plus_fair.is_some());
+            d.evaluation(e);
+        }
+    }
+    let engine_digest = d.0;
+
+    let got = [fig7_digest, reuse_digest, ablation_digest, engine_digest];
+    let want: [u64; 4] = [
+        0x6b16_70c7_74cb_fe50,
+        0xbdfc_9ae9_c384_cc47,
+        0x23f1_1ebe_b973_9c4b,
+        0x4177_9a20_59d4_8e4f,
+    ];
+    assert_eq!(
+        got, want,
+        "allocation-path digests moved: got {got:#018x?} (fig7, reuse, ablation, engine)"
     );
 }
