@@ -21,92 +21,6 @@ use copa_mac::frames::{Addr, Decision, ItsFrame};
 use copa_mac::timing::{
     bulk_frame_us, control_frame_us, CW_MAX, CW_MIN, DIFS_US, SIFS_US, SLOT_US,
 };
-use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock};
-
-/// A CSI cache entry: the channel learned by overhearing, plus when.
-#[derive(Clone, Debug)]
-pub struct CsiEntry {
-    /// The (estimated) channel from the overheard sender.
-    pub channel: FreqChannel,
-    /// Cache timestamp in microseconds.
-    pub learned_at_us: f64,
-}
-
-/// Per-AP CSI table indexed by sender address (section 3.1 "Learning CSI").
-/// Shared between the AP's receive path and its coordination logic, hence
-/// the lock.
-#[derive(Default)]
-pub struct CsiCache {
-    entries: RwLock<HashMap<Addr, CsiEntry>>,
-}
-
-impl CsiCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an overheard channel.
-    pub fn learn(&self, sender: Addr, channel: FreqChannel, now_us: f64) {
-        self.entries
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(
-                sender,
-                CsiEntry {
-                    channel,
-                    learned_at_us: now_us,
-                },
-            );
-    }
-
-    /// Applies `f` to the cached channel if it is still fresh (within one
-    /// coherence time), under a single read guard and without cloning the
-    /// channel. A caller that needs an owned copy clones inside `f`.
-    pub fn with_fresh<R>(
-        &self,
-        sender: Addr,
-        now_us: f64,
-        coherence_us: f64,
-        f: impl FnOnce(&FreqChannel) -> R,
-    ) -> Option<R> {
-        let map = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        let e = map.get(&sender)?;
-        if now_us - e.learned_at_us <= coherence_us {
-            Some(f(&e.channel))
-        } else {
-            None
-        }
-    }
-
-    /// Copies the whole table out under one read guard, for callers that
-    /// would otherwise probe entry by entry (each probe taking its own
-    /// guard). Entries come back sorted by sender address so iteration
-    /// order is deterministic.
-    pub fn snapshot(&self) -> Vec<(Addr, CsiEntry)> {
-        let map = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        let mut all: Vec<(Addr, CsiEntry)> = map.iter().map(|(a, e)| (*a, e.clone())).collect();
-        all.sort_by_key(|(a, _)| *a);
-        all
-    }
-
-    /// Number of cached senders.
-    pub fn len(&self) -> usize {
-        self.entries
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// `true` if nothing has been overheard yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_empty()
-    }
-}
 
 /// A record of one exchanged frame.
 #[derive(Clone, Debug)]
@@ -318,25 +232,7 @@ impl Coordinator {
         plan: &FaultPlan,
         exchange_id: u64,
     ) -> Result<ExchangeOutcome, CopaError> {
-        self.run_exchange_observed(topology, leader, plan, exchange_id, None)
-    }
-
-    /// [`Self::run_exchange_with_faults`] with an observation context:
-    /// records ITS frames sent / retried / lost, the exchange verdict,
-    /// and the control airtime histogram through the sink. All samples
-    /// derive from *simulated* protocol time and the deterministic fault
-    /// stream, so telemetry is a pure function of `(plan.seed,
-    /// exchange_id)` and the results are bit-identical with or without
-    /// observation.
-    pub fn run_exchange_observed(
-        &self,
-        topology: &Topology,
-        leader: usize,
-        plan: &FaultPlan,
-        exchange_id: u64,
-        obs: Option<&ExchangeObs<'_>>,
-    ) -> Result<ExchangeOutcome, CopaError> {
-        self.run_exchange_faulted(topology, leader, plan.for_exchange(exchange_id), obs)
+        self.run_exchange_faulted(topology, leader, plan.for_exchange(exchange_id), None)
     }
 
     /// Runs one ITS exchange over a pre-bound fault stream. This is the
@@ -344,7 +240,14 @@ impl Coordinator {
     /// [`FaultPlan::for_epoch`] so every re-exchange a long-lived run
     /// schedules replays bit-identically from its `(cell, epoch)` key,
     /// while the batch paths bind flat exchange ids through
-    /// [`Self::run_exchange_with_faults`]. Identical semantics otherwise.
+    /// [`Self::run_exchange_with_faults`] (`plan.for_exchange(id)` binds
+    /// the same stream here). Identical semantics otherwise.
+    ///
+    /// With `obs`, the exchange records ITS frames sent / retried / lost,
+    /// its verdict and the control airtime histogram through the sink. All
+    /// samples derive from *simulated* protocol time and the deterministic
+    /// fault stream, so telemetry is a pure function of the stream and the
+    /// results are bit-identical with or without observation.
     pub fn run_exchange_faulted(
         &self,
         topology: &Topology,
@@ -534,77 +437,7 @@ impl Coordinator {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioParams;
-    use copa_channel::{AntennaConfig, MultipathProfile, TopologySampler};
-    use copa_num::SimRng;
-
-    #[test]
-    fn csi_cache_freshness() {
-        let cache = CsiCache::new();
-        assert!(cache.is_empty());
-        let ch = FreqChannel::random(
-            &mut SimRng::seed_from(1),
-            2,
-            4,
-            1.0,
-            &MultipathProfile::default(),
-        );
-        let a = Addr::from_id(7);
-        cache.learn(a, ch, 1000.0);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.with_fresh(a, 20_000.0, 30_000.0, |_| ()).is_some());
-        assert!(
-            cache.with_fresh(a, 40_000.0, 30_000.0, |_| ()).is_none(),
-            "stale beyond coherence"
-        );
-        assert!(cache
-            .with_fresh(Addr::from_id(9), 1000.0, 30_000.0, |_| ())
-            .is_none());
-    }
-
-    #[test]
-    fn csi_cache_with_fresh_avoids_clone() {
-        let cache = CsiCache::new();
-        let ch = FreqChannel::random(
-            &mut SimRng::seed_from(2),
-            2,
-            4,
-            1.0,
-            &MultipathProfile::default(),
-        );
-        let a = Addr::from_id(3);
-        cache.learn(a, ch.clone(), 0.0);
-        // Inspect under the guard without cloning the channel out.
-        let dims = cache.with_fresh(a, 10.0, 1000.0, |c| (c.rx(), c.tx()));
-        assert_eq!(dims, Some((2, 4)));
-        // Stale or unknown senders short-circuit to None without calling f.
-        assert!(cache.with_fresh(a, 5000.0, 1000.0, |_| ()).is_none());
-        assert!(cache
-            .with_fresh(Addr::from_id(4), 0.0, 1000.0, |_| ())
-            .is_none());
-        // The closure sees the cached channel itself.
-        let got = cache.with_fresh(a, 10.0, 1000.0, |c| c.at(0)[(0, 0)]);
-        assert_eq!(got, Some(ch.at(0)[(0, 0)]));
-    }
-
-    #[test]
-    fn csi_cache_snapshot_is_sorted_and_complete() {
-        let cache = CsiCache::new();
-        let mut rng = SimRng::seed_from(3);
-        for id in [9u8, 1, 5] {
-            let ch = FreqChannel::random(&mut rng, 1, 2, 1.0, &MultipathProfile::default());
-            cache.learn(Addr::from_id(id), ch, f64::from(id));
-        }
-        let snap = cache.snapshot();
-        assert_eq!(snap.len(), 3);
-        let ids: Vec<Addr> = snap.iter().map(|(a, _)| *a).collect();
-        assert_eq!(
-            ids,
-            vec![Addr::from_id(1), Addr::from_id(5), Addr::from_id(9)]
-        );
-        for (a, e) in &snap {
-            assert_eq!(e.learned_at_us, f64::from(a.0[5]));
-        }
-    }
+    use copa_channel::{AntennaConfig, TopologySampler};
 
     #[test]
     fn exchange_runs_end_to_end_4x2() {

@@ -639,7 +639,7 @@ mod tests {
     fn evm_floors_the_null() {
         // With TX EVM, even a perfect-CSI null leaks noise.
         let mut rng = SimRng::seed_from(73);
-        let own_truth = ch(&mut rng, 2, 4, 1e-6);
+        let _own_truth = ch(&mut rng, 2, 4, 1e-6);
         let cross_truth = ch(&mut rng, 2, 4, 1e-6);
         let int_own = ch(&mut rng, 2, 4, 1e-6);
         let imp = Impairments {

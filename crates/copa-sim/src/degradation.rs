@@ -2,25 +2,26 @@
 //!
 //! The paper's experiments assume every coordination exchange lands. This
 //! runner re-runs a suite the way a deployment would experience it: each
-//! topology's ITS frames are really encoded and pushed through a seeded
-//! [`FaultPlan`] medium with bounded retries, and a cell whose exchange
-//! exhausts the budget falls back to stock CSMA for that coherence
-//! interval. Per-suite [`DegradationStats`] quantify the damage.
+//! topology runs [`Coordinator::run_exchange_with_faults`] -- the same
+//! INIT / REQ / ACK exchange and retry policy the daemon runs -- over a
+//! seeded [`FaultPlan`] medium, and a cell whose exchange exhausts the
+//! budget falls back to stock CSMA for that coherence interval. Per-suite
+//! [`DegradationStats`] quantify the damage.
 //!
-//! Evaluations use the exact per-index seeds of
-//! [`crate::runner::evaluate_parallel`], and a fault-free plan makes every
-//! exchange succeed on the first attempt, so a zero-fault degraded run is
-//! bit-identical (per `f64::to_bits`) to plain suite evaluation.
+//! Each topology's engine uses the per-index seed of
+//! [`crate::runner::evaluate_parallel`]. A coordinated topology reports the
+//! COPA-fair outcome the Leader computed from the CSI that survived
+//! compression, so a zero-fault run equals a clean
+//! [`Coordinator::run_exchange`], not the plain runner's ideal-CSI
+//! evaluation. A CSMA fallback needs no exchanged CSI and equals the plain
+//! runner's `csma` outcome bit for bit.
 
 use crate::json::{Obj, ToJson};
 use crate::runner::{par_map_indexed, seed_for};
-use copa_channel::faults::{Delivery, ExchangeFaults, FaultPlan};
+use copa_channel::faults::FaultPlan;
 use copa_channel::Topology;
-use copa_core::{
-    prepare, CopaError, Engine, EngineWorkspace, EvalRequest, ScenarioParams, Strategy,
-};
-use copa_mac::csi_codec::{compress_csi, decompress_csi};
-use copa_mac::frames::{Addr, Decision, ItsFrame};
+use copa_core::coordinator::Coordinator;
+use copa_core::{CopaError, Engine, ScenarioParams, Strategy};
 
 /// Per-suite accounting of how coordination degraded under faults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -31,22 +32,8 @@ pub struct DegradationStats {
     pub retried: u64,
     /// Total retries consumed across all exchanges.
     pub retries: u64,
-    /// Exchanges that exhausted their retry budget.
-    pub failed: u64,
-    /// CSMA fallbacks taken (one per failed exchange).
+    /// Exchanges that exhausted their retry budget and fell back to CSMA.
     pub csma_fallbacks: u64,
-}
-
-impl DegradationStats {
-    /// Accumulates another worker's counters into this one. Addition is
-    /// commutative, so merged suite stats are thread-count independent.
-    pub fn merge(&mut self, other: &DegradationStats) {
-        self.exchanges += other.exchanges;
-        self.retried += other.retried;
-        self.retries += other.retries;
-        self.failed += other.failed;
-        self.csma_fallbacks += other.csma_fallbacks;
-    }
 }
 
 impl ToJson for DegradationStats {
@@ -55,7 +42,6 @@ impl ToJson for DegradationStats {
             .field("exchanges", &self.exchanges)
             .field("retried", &self.retried)
             .field("retries", &self.retries)
-            .field("failed", &self.failed)
             .field("csma_fallbacks", &self.csma_fallbacks)
             .finish();
     }
@@ -83,172 +69,56 @@ impl ToJson for DegradedSuiteResult {
     }
 }
 
-/// What one simulated exchange cost.
-struct ExchangeCost {
-    retries: u32,
-    coordinated: bool,
-}
-
-/// Pushes one topology's ITS exchange (INIT, REQ with real compressed CSI,
-/// ACK) through the faulty medium with a shared retry budget, mirroring
-/// `Coordinator::run_exchange_with_faults`'s delivery policy: stale CSI
-/// forces a re-measurement, garbled or lost frames are retransmitted, and
-/// CSI payloads that fail to decompress count like garbled frames.
-fn simulate_exchange(
-    faults: &mut ExchangeFaults,
-    init_wire: &[u8],
-    req_wire: &[u8],
-    ack_wire: &[u8],
-) -> ExchangeCost {
-    let max_retries = faults.plan().max_retries;
-    let mut retries = 0u32;
-    let mut deliver = |faults: &mut ExchangeFaults, wire: &[u8], is_req: bool| -> bool {
-        loop {
-            if is_req && faults.csi_is_stale() {
-                if retries >= max_retries {
-                    return false;
-                }
-                retries += 1;
-                continue;
-            }
-            let decodable = match faults.deliver(wire) {
-                Delivery::Lost => false,
-                Delivery::Intact(bytes)
-                | Delivery::Corrupted(bytes)
-                | Delivery::Truncated(bytes) => match ItsFrame::decode(&bytes) {
-                    Ok(ItsFrame::Req {
-                        csi_to_client1,
-                        csi_to_client2,
-                        ..
-                    }) => {
-                        decompress_csi(&csi_to_client1).is_ok()
-                            && decompress_csi(&csi_to_client2).is_ok()
-                    }
-                    Ok(_) => true,
-                    Err(_) => false,
-                },
-            };
-            if decodable {
-                return true;
-            }
-            if retries >= max_retries {
-                return false;
-            }
-            retries += 1;
-        }
-    };
-    let coordinated = deliver(faults, init_wire, false)
-        && deliver(faults, req_wire, true)
-        && deliver(faults, ack_wire, false);
-    ExchangeCost {
-        retries,
-        coordinated,
-    }
-}
-
 /// Evaluates `suite` under `plan` with `threads` work-stealing workers.
 ///
-/// Each topology is evaluated with the same per-index seed as
-/// [`crate::runner::evaluate_parallel`]; its exchange's fault stream is
-/// seeded by `(plan.seed, index)`. Both are independent of which worker
-/// claims the topology, so throughputs and [`DegradationStats`] are
-/// bit-identical across thread counts. Evaluation errors propagate as the
-/// first failure in suite order without poisoning the worker pool.
+/// Topology `idx` runs one exchange with AP 0 as Leader on an engine seeded
+/// like [`crate::runner::evaluate_parallel`]'s, over the fault stream
+/// `plan.for_exchange(idx)`. Both are independent of which worker claims
+/// the topology, so throughputs and [`DegradationStats`] are bit-identical
+/// across thread counts. Evaluation errors propagate as the first failure
+/// in suite order without poisoning the worker pool.
 pub fn run_degraded_suite(
     params: &ScenarioParams,
     suite: &[Topology],
     plan: &FaultPlan,
     threads: usize,
 ) -> Result<DegradedSuiteResult, CopaError> {
-    let rows = par_map_indexed(suite.len(), threads, EngineWorkspace::new, |ws, idx| {
-        evaluate_one(params, &suite[idx], idx, plan, ws)
-    });
+    let rows = par_map_indexed(
+        suite.len(),
+        threads,
+        || (),
+        |_, idx| {
+            let mut p = *params;
+            p.seed = seed_for(params, idx);
+            Coordinator::new(Engine::new(p))
+                .run_exchange_with_faults(&suite[idx], 0, plan, idx as u64)
+                .map(|o| {
+                    (
+                        o.chosen().aggregate_mbps(),
+                        o.decision(),
+                        o.retries(),
+                        o.is_degraded(),
+                    )
+                })
+        },
+    );
     let mut throughputs_mbps = Vec::with_capacity(rows.len());
     let mut decisions = Vec::with_capacity(rows.len());
     let mut stats = DegradationStats::default();
     for r in rows {
-        let (mbps, decision, retries, coordinated) = r?;
+        let (mbps, decision, retries, degraded) = r?;
         throughputs_mbps.push(mbps);
         decisions.push(decision);
-        stats.merge(&DegradationStats {
-            exchanges: 1,
-            retried: u64::from(retries > 0),
-            retries: u64::from(retries),
-            failed: u64::from(!coordinated),
-            csma_fallbacks: u64::from(!coordinated),
-        });
+        stats.exchanges += 1;
+        stats.retried += u64::from(retries > 0);
+        stats.retries += u64::from(retries);
+        stats.csma_fallbacks += u64::from(degraded);
     }
     Ok(DegradedSuiteResult {
         throughputs_mbps,
         decisions,
         stats,
     })
-}
-
-/// One topology: evaluate with the suite seed, then push the exchange's
-/// frames through the medium and pick COPA-fair or the CSMA fallback.
-fn evaluate_one(
-    params: &ScenarioParams,
-    topology: &Topology,
-    idx: usize,
-    plan: &FaultPlan,
-    ws: &mut EngineWorkspace,
-) -> Result<(f64, Strategy, u32, bool), CopaError> {
-    let mut p = *params;
-    p.seed = seed_for(params, idx);
-    let engine = Engine::new(p);
-    let evaluation = engine.run(&mut EvalRequest::topology(topology).workspace(ws))?;
-
-    // The real wire images the exchange would carry (leader = AP 0).
-    let prepared = prepare(topology, &p);
-    let ap = [Addr::from_id(1), Addr::from_id(2)];
-    let client = [Addr::from_id(11), Addr::from_id(12)];
-    let txop = copa_mac::timing::TXOP_US as u32;
-    let init_wire = ItsFrame::Init {
-        leader: ap[0],
-        client: client[0],
-        airtime_us: txop,
-    }
-    .encode();
-    let req_wire = ItsFrame::Req {
-        leader: ap[0],
-        follower: ap[1],
-        client1: client[0],
-        client2: client[1],
-        csi_to_client1: compress_csi(&prepared.est[1][0]),
-        csi_to_client2: compress_csi(&prepared.est[1][1]),
-        airtime_us: txop,
-    }
-    .encode();
-    let decision = if evaluation.copa_fair.strategy.is_concurrent() {
-        Decision::Concurrent {
-            precoder: compress_csi(&prepared.est[1][1]),
-            shut_down_antenna: None,
-        }
-    } else {
-        Decision::Sequential
-    };
-    let ack_wire = ItsFrame::Ack {
-        leader: ap[0],
-        follower: ap[1],
-        client1: client[0],
-        client2: client[1],
-        decision,
-        airtime_us: txop,
-    }
-    .encode();
-
-    let mut faults = plan.for_exchange(idx as u64);
-    let cost = simulate_exchange(&mut faults, &init_wire, &req_wire, &ack_wire);
-    let (mbps, chosen) = if cost.coordinated {
-        (
-            evaluation.copa_fair.aggregate_mbps(),
-            evaluation.copa_fair.strategy,
-        )
-    } else {
-        (evaluation.csma.aggregate_mbps(), Strategy::Csma)
-    };
-    Ok((mbps, chosen, cost.retries, cost.coordinated))
 }
 
 #[cfg(test)]
@@ -265,14 +135,42 @@ mod tests {
     fn zero_fault_plan_is_bit_identical_to_plain_evaluation() {
         let suite = suite(12);
         let params = ScenarioParams::default();
-        let plain = evaluate_parallel(&params, &suite, 4);
         let degraded =
             run_degraded_suite(&params, &suite, &FaultPlan::none(123), 4).expect("no faults");
-        assert_eq!(degraded.stats.csma_fallbacks, 0);
-        assert_eq!(degraded.stats.retries, 0);
         assert_eq!(degraded.stats.exchanges, 12);
-        for (ev, &mbps) in plain.iter().zip(&degraded.throughputs_mbps) {
-            assert_eq!(ev.copa_fair.aggregate_mbps().to_bits(), mbps.to_bits());
+        assert_eq!(degraded.stats.retried, 0);
+        assert_eq!(degraded.stats.retries, 0);
+        assert_eq!(degraded.stats.csma_fallbacks, 0);
+        for (idx, topology) in suite.iter().enumerate() {
+            let mut p = params;
+            p.seed = seed_for(&params, idx);
+            let clean = Coordinator::new(Engine::new(p))
+                .run_exchange(topology, 0)
+                .expect("clean medium");
+            assert_eq!(
+                clean.evaluation.copa_fair.aggregate_mbps().to_bits(),
+                degraded.throughputs_mbps[idx].to_bits()
+            );
+            assert_eq!(clean.decision, degraded.decisions[idx]);
+        }
+
+        // Under a harsh plan every CSMA fallback is the plain runner's
+        // `csma` outcome: the fallback needs no exchanged CSI.
+        let plan = FaultPlan {
+            max_retries: 1,
+            ..FaultPlan::lossy(5, 0.5)
+        };
+        let harsh = run_degraded_suite(&params, &suite, &plan, 4).expect("faults degrade");
+        assert!(harsh.stats.csma_fallbacks > 0, "{:?}", harsh.stats);
+        let plain = evaluate_parallel(&params, &suite, 4);
+        for ((ev, &mbps), d) in plain
+            .iter()
+            .zip(&harsh.throughputs_mbps)
+            .zip(&harsh.decisions)
+        {
+            if *d == Strategy::Csma {
+                assert_eq!(ev.csma.aggregate_mbps().to_bits(), mbps.to_bits());
+            }
         }
     }
 
@@ -291,7 +189,6 @@ mod tests {
             "60% loss with 1 retry must strand some exchanges: {:?}",
             r.stats
         );
-        assert_eq!(r.stats.csma_fallbacks, r.stats.failed);
         for (mbps, d) in r.throughputs_mbps.iter().zip(&r.decisions) {
             assert!(*mbps > 0.0, "CSMA fallback still carries traffic");
             if r.stats.csma_fallbacks == r.stats.exchanges {

@@ -13,8 +13,9 @@
 //!   [`SuiteHealth`] report.
 //! * [`journal`] -- the crash-safe checkpoint journal backing
 //!   [`run_suite_resumed`].
-//! * [`degradation`] -- suites under injected ITS faults: retries, CSMA
-//!   fallbacks and [`DegradationStats`] accounting.
+//! * [`degradation`] -- suites under injected ITS faults: one
+//!   `Coordinator` exchange per topology, with retries, CSMA fallbacks
+//!   and [`DegradationStats`] accounting.
 //! * [`json`] -- the dependency-free JSON writer all reports serialize
 //!   through (re-exported from `copa-obs`, which adds a reader).
 //! * [`telemetry`] -- the [`SuiteTelemetry`] bundle: one shared registry

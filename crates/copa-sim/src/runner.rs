@@ -11,8 +11,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The per-topology params seed: distinct and deterministic per suite
 /// index, so results are byte-identical regardless of thread count or which
-/// worker claims which topology. Shared with the degraded-suite runner so
-/// zero-fault degraded runs are bit-identical to plain evaluation.
+/// worker claims which topology. The supervised and degraded-suite runners
+/// seed suite topology `idx` the same way: a degraded run's CSMA fallbacks
+/// equal this runner's `csma` outcomes bit for bit, but its coordinated
+/// topologies evaluate exchanged (compressed) CSI, not the ideal CSI here.
 pub(crate) fn seed_for(params: &ScenarioParams, idx: usize) -> u64 {
     params
         .seed

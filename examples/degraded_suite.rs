@@ -4,10 +4,11 @@
 //! cargo run --release --example degraded_suite
 //! ```
 //!
-//! Runs 240 two-AP topologies through the degraded-suite runner with one
-//! in five ITS frames lost on the wire and a tight retry budget. The run
-//! must complete without panicking, some exchanges must exhaust their
-//! budget and fall back to CSMA, and the `DegradationStats` accounting is
+//! Runs 240 two-AP topologies through the degraded-suite runner -- one
+//! `Coordinator` ITS exchange each -- with one in five ITS frames lost on
+//! the wire and a tight retry budget. The run must complete without
+//! panicking, some exchanges must exhaust their budget and fall back to
+//! CSMA, and the `DegradationStats` accounting is
 //! printed as a JSON line so `scripts/check.sh --faults-smoke` can assert
 //! on it. Exits nonzero if no CSMA fallback was observed (the fault plan
 //! would then not be exercising the degradation path at all).
@@ -36,8 +37,8 @@ fn main() {
         plan.max_retries
     );
     println!(
-        "  exchanges {} | retried {} | retries {} | failed {} | CSMA fallbacks {}",
-        s.exchanges, s.retried, s.retries, s.failed, s.csma_fallbacks
+        "  exchanges {} | retried {} | retries {} | CSMA fallbacks {}",
+        s.exchanges, s.retried, s.retries, s.csma_fallbacks
     );
     println!(
         "  mean achieved throughput {:.1} Mbps",
@@ -56,10 +57,6 @@ fn main() {
     assert!(
         s.csma_fallbacks > 0,
         "expected at least one exhausted retry budget -> CSMA fallback"
-    );
-    assert_eq!(
-        s.csma_fallbacks, s.failed,
-        "one fallback per failed exchange"
     );
     println!("ok: degradation path exercised, no panics");
 }

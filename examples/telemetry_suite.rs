@@ -47,7 +47,12 @@ fn main() {
     let coordinator = Coordinator::new(Engine::new(params));
     let obs = tel.exchange_obs();
     let clean = coordinator
-        .run_exchange_observed(&suite[0], 0, &FaultPlan::none(0xA11CE), 0, Some(&obs))
+        .run_exchange_faulted(
+            &suite[0],
+            0,
+            FaultPlan::none(0xA11CE).for_exchange(0),
+            Some(&obs),
+        )
         .expect("clean exchange");
     assert!(
         matches!(clean, ExchangeOutcome::Coordinated(_)),
@@ -57,7 +62,7 @@ fn main() {
     for id in 1..5u64 {
         let topology = &suite[id as usize];
         coordinator
-            .run_exchange_observed(topology, 0, &lossy, id, Some(&obs))
+            .run_exchange_faulted(topology, 0, lossy.for_exchange(id), Some(&obs))
             .expect("lossy exchange resolves to Coordinated or Degraded");
     }
 

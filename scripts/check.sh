@@ -87,9 +87,34 @@ hotpath_quick() {
     fi
 }
 
-# Size report (no gate): the simplicity aim tracks these two numbers.
+# Size report (no gate): the simplicity aim tracks these numbers. A dead
+# export is a `pub fn` name that non-test code -- crates/*/src up to the
+# first #[cfg(test)], plus src/, examples/ and perfbench/src -- mentions
+# only where a `fn` of that name is defined.
+nontest_rust() {
+    find crates/*/src -name '*.rs' | sort | while IFS= read -r f; do
+        awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
+    done
+    find src examples perfbench/src -name '*.rs' -exec cat {} +
+}
+dead_exports=$(nontest_rust | awk '
+    NR == FNR { pub[$0]; next }
+    {
+        n = split($0, w, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) uses[w[i]]++
+        line = $0
+        while (match(line, /(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART, RLENGTH)
+            sub(/.*fn /, "", name)
+            defs[name]++
+            line = substr(line, RSTART + RLENGTH)
+        }
+    }
+    END { for (f in pub) dead += (uses[f] <= defs[f]); print dead + 0 }
+' <(grep -rhoE --include='*.rs' '\bpub fn [A-Za-z_][A-Za-z0-9_]*' crates | sed 's/pub fn //' | sort -u) -)
 echo "==> info: $(find crates -name '*.rs' | xargs cat | wc -l | tr -d ' ') lines of Rust under crates/," \
-     "$(grep -rhE --include='*.rs' '\bpub fn\b' crates | wc -l | tr -d ' ') pub fn"
+     "$(grep -rhE --include='*.rs' '\bpub fn\b' crates | wc -l | tr -d ' ') pub fn," \
+     "$dead_exports pub fn names unused outside tests"
 
 echo "==> 1/7 hermeticity: no registry dependencies in any Cargo.toml"
 bad=0
@@ -187,18 +212,17 @@ cargo build --release --offline --workspace --benches
 echo "==> 6/7 cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
-echo "==> 7/7 deprecation gate: no in-repo callers of deprecated APIs"
-# The workspace currently has no #[deprecated] items. Any future shim
-# exists only for downstream compatibility: in-repo code must use its
-# replacement, and only the shim's own unit tests may opt out with
-# #[allow(deprecated)]. A separate target dir keeps -D deprecated from
-# thrashing the main build cache.
-RUSTFLAGS="-D deprecated" CARGO_TARGET_DIR=target/deprecated \
+echo "==> 7/7 warnings gate: every target compiles warning-free"
+# Every crate, test, bench and example must build without a single
+# warning: dead code and imports left behind by a deletion, uses of
+# deprecated APIs and the like fail here. A separate target dir keeps
+# -D warnings from thrashing the main build cache.
+RUSTFLAGS="-D warnings" CARGO_TARGET_DIR=target/warnings \
     cargo check -q --offline --workspace --all-targets || {
-    echo "deprecation gate FAILED: migrate off deprecated APIs (or #[allow(deprecated)] inside the shim's own tests)" >&2
+    echo "warnings gate FAILED: fix the warnings above" >&2
     exit 1
 }
-echo "    ok: no deprecated-API uses outside allowed shims"
+echo "    ok: no warnings in any target"
 
 if [ "$BENCH_SMOKE" -eq 1 ]; then
     echo "==> bench smoke: hotpath --quick (JSON -> BENCH_hotpath.json)"

@@ -500,24 +500,100 @@ fn waveform_grid_is_byte_identical_across_1_2_8_threads_and_replay() {
 
 #[test]
 fn zero_fault_plan_is_bit_transparent_over_the_plain_runner() {
-    // A FaultPlan that cannot inject anything must leave the evaluation
-    // pipeline untouched: same throughput bits as evaluate_parallel, no
-    // degradation accounting, and all-coordinated decisions.
+    // A FaultPlan that cannot inject anything leaves the exchange clean:
+    // every topology reports exactly what a fault-free `Coordinator`
+    // exchange on the suite's per-index seed decides, with no degradation
+    // accounting. Under a harsh plan, every CSMA fallback is the plain
+    // runner's `csma` outcome bit for bit.
     use copa::channel::FaultPlan;
+    use copa::core::coordinator::Coordinator;
+    use copa::core::Strategy;
     use copa::sim::run_degraded_suite;
     let suite = TopologySampler::default().suite(0xFA02, 10, AntennaConfig::CONSTRAINED_4X2);
     let params = ScenarioParams::default();
-    let plain = evaluate_parallel(&params, &suite, 4);
     let degraded =
         run_degraded_suite(&params, &suite, &FaultPlan::none(99), 4).expect("degraded suite");
+    assert_eq!(degraded.stats.exchanges, 10);
+    assert_eq!(degraded.stats.retried, 0);
     assert_eq!(degraded.stats.retries, 0);
-    assert_eq!(degraded.stats.failed, 0);
     assert_eq!(degraded.stats.csma_fallbacks, 0);
-    for (i, (ev, got)) in plain.iter().zip(&degraded.throughputs_mbps).enumerate() {
+    for (i, topology) in suite.iter().enumerate() {
+        // The suite runners' per-index seed.
+        let seed = params.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
+        let clean = Coordinator::new(Engine::new(ScenarioParams { seed, ..params }))
+            .run_exchange(topology, 0)
+            .expect("clean medium");
         assert_eq!(
-            ev.copa_fair.aggregate_mbps().to_bits(),
-            got.to_bits(),
-            "topology {i}: zero-fault suite must match the plain runner bit for bit"
+            clean.evaluation.copa_fair.aggregate_mbps().to_bits(),
+            degraded.throughputs_mbps[i].to_bits(),
+            "topology {i}: zero-fault suite must match a clean exchange bit for bit"
         );
+        assert_eq!(clean.decision, degraded.decisions[i], "topology {i}");
     }
+
+    let harsh = FaultPlan {
+        frame_loss: 0.5,
+        corruption: 0.1,
+        stale_csi: 0.1,
+        max_retries: 1,
+        ..FaultPlan::none(0xFA02)
+    };
+    let degraded = run_degraded_suite(&params, &suite, &harsh, 4).expect("degraded suite");
+    assert!(degraded.stats.csma_fallbacks > 0, "{:?}", degraded.stats);
+    let plain = evaluate_parallel(&params, &suite, 4);
+    for (i, ev) in plain.iter().enumerate() {
+        if degraded.decisions[i] == Strategy::Csma {
+            assert_eq!(
+                ev.csma.aggregate_mbps().to_bits(),
+                degraded.throughputs_mbps[i].to_bits(),
+                "topology {i}: a CSMA fallback must match the plain runner's csma outcome"
+            );
+        }
+    }
+}
+
+/// `[exchanges, retried, retries, csma_fallbacks]` of a degraded run, plus
+/// the number of topologies whose decision fell back to CSMA.
+fn degraded_counts(r: &copa::sim::DegradedSuiteResult) -> [u64; 5] {
+    let s = &r.stats;
+    let csma = r
+        .decisions
+        .iter()
+        .filter(|d| **d == copa::core::Strategy::Csma)
+        .count() as u64;
+    [s.exchanges, s.retried, s.retries, s.csma_fallbacks, csma]
+}
+
+#[test]
+fn loss_only_degraded_stats_are_pinned() {
+    // Lost frames are retransmitted out of one shared budget; this plan
+    // never draws stale CSI, so the counts depend only on that policy.
+    use copa::channel::FaultPlan;
+    use copa::sim::run_degraded_suite;
+    let suite = TopologySampler::default().suite(0xFA03, 24, AntennaConfig::CONSTRAINED_4X2);
+    let plan = FaultPlan {
+        frame_loss: 0.3,
+        max_retries: 2,
+        ..FaultPlan::none(0x1055)
+    };
+    let r = run_degraded_suite(&ScenarioParams::default(), &suite, &plan, 2).expect("run");
+    assert_eq!(degraded_counts(&r), [24, 17, 27, 5, 5]);
+}
+
+#[test]
+fn stale_csi_degraded_stats_are_pinned() {
+    // Stale CSI costs a retry before each fresh ITS REQ, not before each
+    // retransmission of one: the `Coordinator` exchange's policy.
+    use copa::channel::FaultPlan;
+    use copa::sim::run_degraded_suite;
+    let suite = TopologySampler::default().suite(0xFA01, 48, AntennaConfig::CONSTRAINED_4X2);
+    let plan = FaultPlan {
+        frame_loss: 0.3,
+        corruption: 0.1,
+        stale_csi: 0.1,
+        max_retries: 2,
+        ..FaultPlan::none(7)
+    };
+    let r = run_degraded_suite(&ScenarioParams::default(), &suite, &plan, 2).expect("run");
+    assert_eq!(degraded_counts(&r), [48, 36, 59, 13, 13]);
 }

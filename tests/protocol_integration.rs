@@ -2,7 +2,7 @@
 //! compression, the coordinator, CSI aging, and failure injection.
 
 use copa::channel::{AntennaConfig, MultipathProfile, TopologySampler};
-use copa::core::coordinator::{Coordinator, CsiCache};
+use copa::core::coordinator::Coordinator;
 use copa::core::{prepare, DecoderMode, Engine, EvalRequest, PreparedScenario, ScenarioParams};
 use copa::mac::csi_codec::{compress_csi, decompress_csi, raw_csi_bytes};
 use copa::mac::frames::{Addr, FrameError, ItsFrame};
@@ -124,23 +124,6 @@ fn stale_csi_hurts_nulling() {
     // ...but the engine remains safe: COPA still has its sequential
     // fallback available and never panics.
     assert!(stale.copa_fair.aggregate_bps() > 0.0);
-}
-
-#[test]
-fn csi_cache_expiry_matches_coherence_budget() {
-    let cache = CsiCache::new();
-    let ch = copa::channel::FreqChannel::random(
-        &mut SimRng::seed_from(8),
-        2,
-        4,
-        1e-6,
-        &MultipathProfile::default(),
-    );
-    let addr = Addr::from_id(3);
-    // Learned at t = 0, coherence 30 ms: fresh at 29 ms, stale at 31 ms.
-    cache.learn(addr, ch, 0.0);
-    assert!(cache.with_fresh(addr, 29_000.0, 30_000.0, |_| ()).is_some());
-    assert!(cache.with_fresh(addr, 31_000.0, 30_000.0, |_| ()).is_none());
 }
 
 #[test]
